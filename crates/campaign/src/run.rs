@@ -18,8 +18,8 @@ use fairq::{AnyPolicy, RankPolicy};
 use fastpath::FfsSorter;
 use faultsim::FaultConfig;
 use scheduler::{
-    HwScheduler, ParallelShardedScheduler, Placement, RebalancerConfig, SchedulerConfig,
-    ShardedScheduler, WrapPolicy,
+    Executor, HwScheduler, Inline, Placement, RebalancerConfig, SchedulerConfig, ShardedFrontend,
+    Threaded, WrapPolicy,
 };
 use tagsort::{
     CleanupPolicy, HeapSorter, MemoryKind, ResidentMemory, SortBackend, SortRetrieveCircuit,
@@ -113,9 +113,9 @@ fn run_cell(spec: &CampaignSpec, cell: &Cell) -> CellResult {
     let runs: Vec<ModeRun> = modes_for(spec, cell)
         .into_iter()
         .map(|paged| match cell.backend.as_str() {
-            "trie" => run_one::<SortRetrieveCircuit>(spec, cell, paged),
-            "fastpath" => run_one::<FfsSorter>(spec, cell, paged),
-            "heap" => run_one::<HeapSorter>(spec, cell, paged),
+            "trie" => run_backend::<SortRetrieveCircuit>(spec, cell, paged),
+            "fastpath" => run_backend::<FfsSorter>(spec, cell, paged),
+            "heap" => run_backend::<HeapSorter>(spec, cell, paged),
             other => unreachable!("backend {other} passed validation"),
         })
         .collect();
@@ -189,19 +189,18 @@ struct FrontendTail {
 }
 
 /// One cell's scheduler behind a uniform enqueue/dequeue surface, so
-/// the link loop below is written once for all three frontends.
-enum AnyFrontend<B: SortBackend + Send + 'static> {
+/// the link loop below is written once for every frontend. `E` is the
+/// sharded frontend's executor (the single frontend ignores it).
+enum AnyFrontend<B: SortBackend, E> {
     Single(Box<HwScheduler<B, AnyPolicy>>),
-    Sharded(Box<ShardedScheduler<B, AnyPolicy>>),
-    Parallel(Box<ParallelShardedScheduler<B, AnyPolicy>>),
+    Sharded(Box<ShardedFrontend<B, AnyPolicy, E>>),
 }
 
-impl<B: SortBackend + Send + 'static> AnyFrontend<B> {
+impl<B: SortBackend, E: Executor<B, AnyPolicy>> AnyFrontend<B, E> {
     fn enqueue(&mut self, pkt: Packet) -> bool {
         match self {
             AnyFrontend::Single(s) => s.enqueue(pkt).is_ok(),
             AnyFrontend::Sharded(s) => s.enqueue(pkt).is_ok(),
-            AnyFrontend::Parallel(s) => s.enqueue(pkt).is_ok(),
         }
     }
 
@@ -209,20 +208,13 @@ impl<B: SortBackend + Send + 'static> AnyFrontend<B> {
         match self {
             AnyFrontend::Single(s) => s.dequeue(),
             AnyFrontend::Sharded(s) => s.dequeue().map(|(_, p)| p),
-            AnyFrontend::Parallel(s) => s.dequeue().map(|(_, p)| p),
         }
     }
 
     /// One rebalance round; a no-op without an armed rebalancer.
     fn maybe_rebalance(&mut self) {
-        match self {
-            AnyFrontend::Single(_) => {}
-            AnyFrontend::Sharded(s) => {
-                s.maybe_rebalance();
-            }
-            AnyFrontend::Parallel(s) => {
-                s.maybe_rebalance();
-            }
+        if let AnyFrontend::Sharded(s) = self {
+            s.maybe_rebalance();
         }
     }
 
@@ -239,17 +231,6 @@ impl<B: SortBackend + Send + 'static> AnyFrontend<B> {
                 }
             }
             AnyFrontend::Sharded(mut s) => {
-                s.reconcile_faults();
-                let stats = s.stats();
-                FrontendTail {
-                    pushed_out: stats.aggregate.pushed_out,
-                    resident: None,
-                    faults: s.fault_totals(),
-                    shard_balance: Some(stats.shard_balance()),
-                    migrations: s.migrations(),
-                }
-            }
-            AnyFrontend::Parallel(mut s) => {
                 let faults = s.reconcile_faults();
                 let stats = s.stats();
                 FrontendTail {
@@ -264,7 +245,22 @@ impl<B: SortBackend + Send + 'static> AnyFrontend<B> {
     }
 }
 
-fn run_one<B: SortBackend + Send + 'static>(
+/// Runs one cell on backend `B`, picking the sharded frontend's
+/// executor from the cell.
+fn run_backend<B: SortBackend + Send + 'static>(
+    spec: &CampaignSpec,
+    cell: &Cell,
+    paged: bool,
+) -> ModeRun {
+    match cell.frontend {
+        Frontend::Parallel => run_one::<B, Threaded>(spec, cell, paged),
+        Frontend::Single | Frontend::Sharded => {
+            run_one::<B, Inline<B, AnyPolicy>>(spec, cell, paged)
+        }
+    }
+}
+
+fn run_one<B: SortBackend, E: Executor<B, AnyPolicy>>(
     spec: &CampaignSpec,
     cell: &Cell,
     paged: bool,
@@ -319,9 +315,9 @@ fn run_one<B: SortBackend + Send + 'static>(
             }
             AnyFrontend::Single(Box::new(s))
         }
-        Frontend::Sharded => {
+        Frontend::Sharded | Frontend::Parallel => {
             let rates = vec![service_rate / spec.ports as f64; spec.ports];
-            let mut s = ShardedScheduler::<B, AnyPolicy>::with_policy_port_rates_placement(
+            let mut s = ShardedFrontend::<B, AnyPolicy, E>::with_policy_port_rates_placement(
                 &flows,
                 &rates,
                 config,
@@ -332,20 +328,6 @@ fn run_one<B: SortBackend + Send + 'static>(
                 s = s.with_rebalancer(RebalancerConfig::default());
             }
             AnyFrontend::Sharded(Box::new(s))
-        }
-        Frontend::Parallel => {
-            let rates = vec![service_rate / spec.ports as f64; spec.ports];
-            let mut s = ParallelShardedScheduler::<B, AnyPolicy>::with_policy_placement(
-                &flows,
-                &rates,
-                config,
-                &proto,
-                spec.placement,
-            );
-            if spec.placement == Placement::Dynamic {
-                s = s.with_rebalancer(RebalancerConfig::default());
-            }
-            AnyFrontend::Parallel(Box::new(s))
         }
     };
 

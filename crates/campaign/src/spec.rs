@@ -16,7 +16,7 @@ use std::str::FromStr;
 
 use fairq::AnyPolicy;
 use faultsim::{FaultPolicy, FaultSpec, ScrubOrder};
-use scheduler::{AdmissionPolicy, Placement};
+use scheduler::{check_hash_placement, AdmissionPolicy, Placement};
 use tagsort::Geometry;
 use traffic::ChurnSpec;
 
@@ -383,9 +383,14 @@ impl CampaignSpec {
         if self.ports == 0 {
             return Err("ports must be positive".into());
         }
+        let sharded = self.frontends.iter().any(|&f| f != Frontend::Single);
         for &flows in &self.flows {
             if flows == 0 {
                 return Err("flow populations must be positive".into());
+            }
+            if sharded && self.placement == Placement::Hash {
+                check_hash_placement(flows as usize, self.ports)
+                    .map_err(|e| format!("flows {flows}: {e}"))?;
             }
         }
         Ok(())
@@ -557,6 +562,7 @@ mod tests {
         assert!(CampaignSpec::parse("t", "frontends = mesh").is_err());
         assert!(CampaignSpec::parse("t", "placement = roulette").is_err());
         assert!(CampaignSpec::parse("t", "ports = 0").is_err());
+        assert!(CampaignSpec::parse("t", "flows = 3\nports = 8\nfrontends = sharded").is_err());
     }
 
     #[test]

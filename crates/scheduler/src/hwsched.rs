@@ -1090,6 +1090,20 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         Ok(())
     }
 
+    /// [`HwScheduler::enqueue`] for a packet a sharded frontend routed
+    /// here: traces the [`EventKind::ShardHandoff`] (global flow id,
+    /// this shard's cycle clock) before admitting it.
+    pub(crate) fn enqueue_handoff(&mut self, pkt: Packet) -> Result<(), SchedulerError> {
+        self.instr.tracer.emit(
+            self.instr.shard,
+            self.sorter.cycles(),
+            EventKind::ShardHandoff,
+            self.event_flow(pkt.flow.0),
+            pkt.seq,
+        );
+        self.enqueue(pkt)
+    }
+
     /// The shared admission tail: quantizes an already-computed rank,
     /// parks the packet, and sorts the tag in. `arrival` distinguishes
     /// a fresh arrival ([`HwScheduler::enqueue`] — admission policy

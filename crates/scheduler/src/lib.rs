@@ -54,9 +54,9 @@ pub use hwsched::{
     SchedulerStats, SojournStamp,
 };
 pub use quantize::{QuantizeOutcome, TagQuantizer, WrapPolicy};
-pub use shard::parallel::ParallelShardedScheduler;
 pub use shard::{
-    shard_of, BatchError, PortDeparture, ShardError, ShardMap, ShardStats, ShardedLinkSim,
-    ShardedScheduler,
+    check_hash_placement, shard_of, BatchError, Executor, Inline, ParallelShardedScheduler,
+    PortDeparture, ShardError, ShardMap, ShardStats, ShardedFrontend, ShardedLinkSim,
+    ShardedScheduler, Threaded,
 };
 pub use statesync::{Placement, RebalanceHint, Rebalancer, RebalancerConfig, ShardLoad};

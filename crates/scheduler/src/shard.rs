@@ -23,42 +23,74 @@
 //! Ports need not share one link rate:
 //! [`ShardedScheduler::with_port_rates`] gives every port its own rate,
 //! which drives that shard's WFQ virtual clock and [`ShardedLinkSim`]'s
-//! per-port service times. And the whole frontend runs with one OS
-//! worker thread per port — same semantics, real concurrency — as
-//! [`parallel::ParallelShardedScheduler`].
+//! per-port service times.
+//!
+//! # One frontend, two executors
+//!
+//! Routing, the [`ShardMap`] migration handover,
+//! [`ShardedScheduler::migrate_flow`], rebalancing, round-robin service
+//! and stats aggregation exist once, in [`ShardedFrontend`]. *Where*
+//! the per-port schedulers run is its third type parameter, an
+//! [`Executor`]:
+//!
+//! * [`Inline`] owns the schedulers and calls them on the caller's
+//!   thread; [`ShardedScheduler`] names this frontend.
+//! * [`Threaded`] runs each port's scheduler on its own OS worker
+//!   thread — the software analogue of N circuits clocking
+//!   concurrently — behind bounded channels. Batch operations scatter
+//!   one command per port and gather the replies, so the shards' work
+//!   overlaps in real time; dropping the frontend joins the workers and
+//!   re-raises any worker panic. [`ParallelShardedScheduler`] names this
+//!   frontend.
+//!
+//! Both executors run the same frontend code over the same per-port
+//! operations, so they serve identical departure sequences by
+//! construction.
 //!
 //! # Example
 //!
 //! ```
-//! use scheduler::{SchedulerConfig, ShardedScheduler};
+//! use scheduler::{ParallelShardedScheduler, SchedulerConfig, ShardedScheduler};
 //! use traffic::{FlowId, FlowSpec, Packet, Time};
 //!
 //! # fn main() -> Result<(), scheduler::ShardError> {
 //! let flows: Vec<FlowSpec> = (0..8)
 //!     .map(|i| FlowSpec::new(FlowId(i), 1.0, 1e6))
 //!     .collect();
+//! let pkt = Packet { flow: FlowId(3), size_bytes: 140, arrival: Time(0.0), seq: 0 };
 //! let mut fe = ShardedScheduler::new(&flows, 10e9, 2, SchedulerConfig::default());
-//! fe.enqueue(Packet { flow: FlowId(3), size_bytes: 140, arrival: Time(0.0), seq: 0 })?;
-//! let (port, pkt) = fe.dequeue().expect("backlogged");
-//! assert_eq!(pkt.flow, FlowId(3));
+//! fe.enqueue(pkt)?;
+//! let (port, served) = fe.dequeue().expect("backlogged");
+//! assert_eq!(served.flow, FlowId(3));
 //! assert_eq!(port, fe.port_of(FlowId(3)).unwrap());
+//!
+//! // The same frontend with one worker thread per port.
+//! let mut par = ParallelShardedScheduler::new(&flows, 10e9, 2, SchedulerConfig::default());
+//! par.enqueue(pkt)?;
+//! assert_eq!(par.drain(), vec![(port, served)]);
 //! # Ok(())
 //! # }
 //! ```
 
+use std::collections::VecDeque;
 use std::error::Error;
 use std::fmt;
+use std::marker::PhantomData;
 
 use fairq::{Departure, RankPolicy, WfqRank};
 use statesync::{Placement, Rebalancer, RebalancerConfig, ShardLoad};
 use tagsort::{CircuitStats, SortBackend, SortRetrieveCircuit};
-use telemetry::{Counter, EventKind, LatencyTracker, Snapshot, Telemetry, Tracer};
+use telemetry::{Counter, LatencyTracker, Snapshot, Telemetry};
 use traffic::{FlowId, FlowSpec, Packet, Time};
 
 use crate::egress::DropPolicy;
-use crate::hwsched::{HwScheduler, SchedulerConfig, SchedulerError, SchedulerStats, SojournStamp};
+use crate::hwsched::{
+    HwScheduler, MigratedFlow, SchedulerConfig, SchedulerError, SchedulerStats, SojournStamp,
+};
 
-pub mod parallel;
+mod threaded;
+
+pub use threaded::Threaded;
 
 /// The output port a flow is pinned to, as a pure function of the flow
 /// id and the port count.
@@ -81,9 +113,37 @@ pub fn shard_of(flow: FlowId, ports: usize) -> usize {
     (z % ports as u64) as usize
 }
 
-/// The live flow → port ownership table shared by the sequential and
-/// parallel frontends — one source of truth for every routing decision,
-/// including enqueues that race an in-flight migration.
+/// Checks the precondition of [`Placement::Hash`]: [`shard_of`] must
+/// give each of `ports` ports at least one of the dense flow ids
+/// `0..flows` (an unused port has no traffic to schedule).
+///
+/// # Errors
+///
+/// [`ShardError::EmptyPort`] naming the first port left without flows.
+///
+/// # Panics
+///
+/// Panics if `ports` is zero.
+pub fn check_hash_placement(flows: usize, ports: usize) -> Result<(), ShardError> {
+    let mut covered = vec![false; ports];
+    let mut missing = ports;
+    for f in 0..flows {
+        let port = shard_of(FlowId(f as u32), ports);
+        if !covered[port] {
+            covered[port] = true;
+            missing -= 1;
+            if missing == 0 {
+                return Ok(());
+            }
+        }
+    }
+    let port = covered.iter().position(|&c| !c).unwrap_or(0);
+    Err(ShardError::EmptyPort { port, flows, ports })
+}
+
+/// The live flow → port ownership table of a sharded frontend — one
+/// source of truth for every routing decision, including enqueues that
+/// race an in-flight migration.
 ///
 /// Under [`Placement::Hash`] the table is exactly [`shard_of`] and never
 /// changes. Under [`Placement::Dynamic`] it starts as [`shard_of`] and
@@ -96,8 +156,8 @@ pub struct ShardMap {
     owner: Vec<u32>,
     /// A migration the frontend has begun but not yet committed:
     /// `(flow, from, to)`. Enqueues landing in this window route to the
-    /// **new** owner — the frontends send the install ahead of any
-    /// later arrival, so FIFO delivery keeps per-flow order intact.
+    /// **new** owner — the frontend installs the backlog ahead of any
+    /// later arrival, so per-flow order stays intact.
     in_flight: Option<(u32, u32, u32)>,
 }
 
@@ -212,6 +272,16 @@ pub enum ShardError {
         /// The underlying scheduler error.
         source: SchedulerError,
     },
+    /// Hash placement would leave a port without flows (see
+    /// [`check_hash_placement`]).
+    EmptyPort {
+        /// The first port [`shard_of`] assigns no flow.
+        port: usize,
+        /// Configured flow count.
+        flows: usize,
+        /// Configured port count.
+        ports: usize,
+    },
 }
 
 impl fmt::Display for ShardError {
@@ -221,6 +291,11 @@ impl fmt::Display for ShardError {
                 write!(f, "flow {flow} not configured ({flows} flows)")
             }
             ShardError::Port { port, source } => write!(f, "port {port}: {source}"),
+            ShardError::EmptyPort { port, flows, ports } => write!(
+                f,
+                "the flow-affinity hash leaves port {port} without flows \
+                 ({flows} flows over {ports} ports); use more flows or fewer ports"
+            ),
         }
     }
 }
@@ -229,13 +304,13 @@ impl Error for ShardError {
     fn source(&self) -> Option<&(dyn Error + 'static)> {
         match self {
             ShardError::Port { source, .. } => Some(source),
-            ShardError::UnknownFlow { .. } => None,
+            ShardError::UnknownFlow { .. } | ShardError::EmptyPort { .. } => None,
         }
     }
 }
 
 /// A failed [`ShardedScheduler::enqueue_batch`]: the batch stopped at
-/// `error`, with `accepted` earlier packets already admitted (and still
+/// `error`, with `accepted` packets already admitted (and still
 /// enqueued — a batch is not transactional).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BatchError {
@@ -342,9 +417,8 @@ fn sum_circuit(agg: &mut CircuitStats, s: &CircuitStats) {
     agg.recycled_markers += s.recycled_markers;
 }
 
-/// Rolls per-port scheduler stats into one [`ShardStats`], with `peak`
-/// supplied by the caller (the frontend-wide high-water mark is tracked
-/// differently by the sequential and parallel frontends).
+/// Rolls per-port scheduler stats into one [`ShardStats`], with the
+/// frontend-wide high-water mark `peak`.
 fn aggregate_stats(per_port: Vec<SchedulerStats>, peak: usize) -> ShardStats {
     let mut aggregate = per_port[0].clone();
     for s in &per_port[1..] {
@@ -370,14 +444,14 @@ fn aggregate_stats(per_port: Vec<SchedulerStats>, peak: usize) -> ShardStats {
     }
 }
 
-/// The flow partition shared by the sequential and parallel frontends:
-/// per-port flow populations (locally renumbered), the global routing
-/// table, and the inverse map that restores global ids on dequeue.
+/// The flow partition: per-port flow populations (locally renumbered),
+/// each flow's local id, and the inverse map that restores global ids
+/// on dequeue.
 struct Routing {
     /// Per port: that port's flows, with locally dense ids.
     local: Vec<Vec<FlowSpec>>,
-    /// Global flow id → (port, local flow id).
-    route: Vec<(usize, u32)>,
+    /// Global flow id → local flow id on its port.
+    local_id: Vec<u32>,
     /// Per port: local flow id → global flow id.
     global_of: Vec<Vec<u32>>,
 }
@@ -395,7 +469,7 @@ impl Routing {
     /// # Panics
     ///
     /// Panics if `ports` is zero, flow ids are not dense, or (hash
-    /// placement only) the hash leaves some port without any flow.
+    /// placement only) [`check_hash_placement`] fails.
     fn build(flows: &[FlowSpec], ports: usize, placement: Placement) -> Self {
         assert!(ports > 0, "at least one port required");
         for (i, f) in flows.iter().enumerate() {
@@ -409,71 +483,235 @@ impl Routing {
             let identity: Vec<u32> = (0..flows.len() as u32).collect();
             return Self {
                 local: vec![flows.to_vec(); ports],
-                // The port component is the *initial* owner; the live
-                // [`ShardMap`] supersedes it once flows migrate.
-                route: identity
-                    .iter()
-                    .map(|&f| (shard_of(FlowId(f), ports), f))
-                    .collect(),
+                local_id: identity.clone(),
                 global_of: vec![identity; ports],
             };
         }
+        if let Err(e) = check_hash_placement(flows.len(), ports) {
+            panic!("{e}");
+        }
         let mut local: Vec<Vec<FlowSpec>> = vec![Vec::new(); ports];
-        let mut route = Vec::with_capacity(flows.len());
+        let mut local_id = Vec::with_capacity(flows.len());
         let mut global_of: Vec<Vec<u32>> = vec![Vec::new(); ports];
         for f in flows {
             let port = shard_of(f.id, ports);
             let mut renumbered = *f;
             renumbered.id = FlowId(local[port].len() as u32);
-            route.push((port, renumbered.id.0));
+            local_id.push(renumbered.id.0);
             global_of[port].push(f.id.0);
             local[port].push(renumbered);
         }
-        for (port, fl) in local.iter().enumerate() {
-            assert!(
-                !fl.is_empty(),
-                "flow-affinity hash left port {port} without flows \
-                 ({} flows over {ports} ports); use more flows or fewer ports",
-                flows.len()
-            );
-        }
         Self {
             local,
-            route,
+            local_id,
             global_of,
         }
     }
 }
 
-/// Validates a per-port rate vector (used by both frontends).
+/// `(injected, detected, repaired, silent)` fault-ledger totals.
+type FaultTotals = (u64, u64, u64, u64);
+
+/// One port's tag-order run of served packets, with cycle stamps.
+type Run = VecDeque<(Packet, SojournStamp)>;
+
+/// How a [`ShardedFrontend`] runs its per-port schedulers: every
+/// operation the frontend asks of a port's [`HwScheduler`]. Packets
+/// crossing this interface carry **local** flow ids.
 ///
-/// # Panics
-///
-/// Panics if `rates` is empty or any rate is not positive and finite.
-fn check_rates(rates: &[f64]) {
-    assert!(!rates.is_empty(), "at least one port required");
-    for (port, &r) in rates.iter().enumerate() {
-        assert!(
-            r > 0.0 && r.is_finite(),
-            "port {port}: rate must be positive and finite, got {r}"
-        );
+/// The all-ports operations ([`Executor::enqueue_buckets`],
+/// [`Executor::dequeue_runs`], [`Executor::stats`],
+/// [`Executor::reconcile_faults`]) let an executor work on the ports
+/// concurrently; the one-port ones are the single-packet path.
+pub trait Executor<B: SortBackend, P: RankPolicy>: Sized {
+    /// Takes over the per-port schedulers, port `i` at index `i`.
+    fn start(shards: Vec<HwScheduler<B, P>>) -> Self;
+
+    /// Queued packets on `port`.
+    fn port_len(&self, port: usize) -> usize;
+
+    /// Admits one packet on `port`.
+    ///
+    /// # Errors
+    ///
+    /// The shard's refusal.
+    fn enqueue(&mut self, port: usize, pkt: Packet) -> Result<(), SchedulerError>;
+
+    /// Admits `buckets[port]` on every port, in order, each port
+    /// stopping at its own first refusal. Returns, per port, the number
+    /// admitted and the refusal, if any.
+    fn enqueue_buckets(
+        &mut self,
+        buckets: Vec<Vec<Packet>>,
+    ) -> Vec<(usize, Option<SchedulerError>)>;
+
+    /// Serves `port`'s smallest tag (see [`HwScheduler::dequeue_stamped`]).
+    fn dequeue(&mut self, port: usize) -> Option<(Packet, SojournStamp)>;
+
+    /// Serves up to `max` packets from every backlogged port; each
+    /// port's run is in its tag order.
+    fn dequeue_runs(&mut self, max: usize) -> Vec<Run>;
+
+    /// Every port's statistics.
+    fn stats(&self) -> Vec<SchedulerStats>;
+
+    /// End-of-run fault accounting on every port (see
+    /// [`HwScheduler::reconcile_faults`]); returns the summed ledger
+    /// totals.
+    fn reconcile_faults(&mut self) -> FaultTotals;
+
+    /// Pulls `flow`'s backlog and rank state out of `port` (see
+    /// [`HwScheduler::extract_flow`]).
+    fn extract_flow(&mut self, port: usize, flow: FlowId) -> MigratedFlow;
+
+    /// Installs a migrated backlog on `port` (see
+    /// [`HwScheduler::install_flow`]).
+    ///
+    /// # Errors
+    ///
+    /// The shard's refusal, together with the backlog it refused.
+    fn install_flow(
+        &mut self,
+        port: usize,
+        flow: FlowId,
+        backlog: MigratedFlow,
+    ) -> Result<(), (SchedulerError, MigratedFlow)>;
+
+    /// Connects every port's scheduler to `tel`, port `i` as shard `i`.
+    fn attach_telemetry(&mut self, tel: &Telemetry);
+}
+
+/// Admits `bucket` on one shard in order, stopping at the first refusal.
+fn admit_bucket<B: SortBackend, P: RankPolicy>(
+    shard: &mut HwScheduler<B, P>,
+    bucket: Vec<Packet>,
+) -> (usize, Option<SchedulerError>) {
+    let mut accepted = 0;
+    for pkt in bucket {
+        if let Err(e) = shard.enqueue_handoff(pkt) {
+            return (accepted, Some(e));
+        }
+        accepted += 1;
+    }
+    (accepted, None)
+}
+
+/// Serves up to `max` packets from one shard. An empty shard is not
+/// polled: a poll advances its fault-op clock, and the [`Threaded`]
+/// executor sends no command to an idle port.
+fn take_run<B: SortBackend, P: RankPolicy>(shard: &mut HwScheduler<B, P>, max: usize) -> Run {
+    if shard.is_empty() {
+        return Run::new();
+    }
+    std::iter::from_fn(|| shard.dequeue_stamped())
+        .take(max)
+        .collect()
+}
+
+/// Reconciles one shard's fault ledger and reads its totals.
+fn reconcile<B: SortBackend, P: RankPolicy>(shard: &mut HwScheduler<B, P>) -> FaultTotals {
+    shard.reconcile_faults();
+    shard.fault_totals()
+}
+
+fn sum_totals(a: FaultTotals, b: FaultTotals) -> FaultTotals {
+    (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3)
+}
+
+/// The executor that owns every port's scheduler and runs it on the
+/// caller's thread ([`ShardedScheduler`]).
+#[derive(Debug, Clone)]
+pub struct Inline<B: SortBackend = SortRetrieveCircuit, P: RankPolicy = WfqRank> {
+    shards: Vec<HwScheduler<B, P>>,
+}
+
+impl<B: SortBackend, P: RankPolicy> Executor<B, P> for Inline<B, P> {
+    fn start(shards: Vec<HwScheduler<B, P>>) -> Self {
+        Self { shards }
+    }
+
+    fn port_len(&self, port: usize) -> usize {
+        self.shards[port].len()
+    }
+
+    fn enqueue(&mut self, port: usize, pkt: Packet) -> Result<(), SchedulerError> {
+        self.shards[port].enqueue_handoff(pkt)
+    }
+
+    fn enqueue_buckets(
+        &mut self,
+        buckets: Vec<Vec<Packet>>,
+    ) -> Vec<(usize, Option<SchedulerError>)> {
+        self.shards
+            .iter_mut()
+            .zip(buckets)
+            .map(|(shard, bucket)| admit_bucket(shard, bucket))
+            .collect()
+    }
+
+    fn dequeue(&mut self, port: usize) -> Option<(Packet, SojournStamp)> {
+        self.shards[port].dequeue_stamped()
+    }
+
+    fn dequeue_runs(&mut self, max: usize) -> Vec<Run> {
+        self.shards.iter_mut().map(|s| take_run(s, max)).collect()
+    }
+
+    fn stats(&self) -> Vec<SchedulerStats> {
+        self.shards.iter().map(HwScheduler::stats).collect()
+    }
+
+    fn reconcile_faults(&mut self) -> FaultTotals {
+        self.shards
+            .iter_mut()
+            .map(reconcile)
+            .fold((0, 0, 0, 0), sum_totals)
+    }
+
+    fn extract_flow(&mut self, port: usize, flow: FlowId) -> MigratedFlow {
+        self.shards[port].extract_flow(flow)
+    }
+
+    fn install_flow(
+        &mut self,
+        port: usize,
+        flow: FlowId,
+        backlog: MigratedFlow,
+    ) -> Result<(), (SchedulerError, MigratedFlow)> {
+        self.shards[port]
+            .install_flow(flow, &backlog)
+            .map_err(|e| (e, backlog))
+    }
+
+    fn attach_telemetry(&mut self, tel: &Telemetry) {
+        for (port, shard) in self.shards.iter_mut().enumerate() {
+            shard.attach_telemetry(tel, port);
+        }
     }
 }
 
 /// A multi-port egress frontend: one [`HwScheduler`] per output port,
 /// flow-affinity routing, and work-conserving service across ports.
 ///
+/// Routing, the [`ShardMap`] migration handover, migration,
+/// rebalancing, round-robin service and stats aggregation live here
+/// once; *where* the per-port schedulers run is the [`Executor`] `E`.
+/// Use it as [`ShardedScheduler`] (executor [`Inline`]: every port on
+/// the caller's thread) or [`ParallelShardedScheduler`] (executor
+/// [`Threaded`]: one worker thread per port). Both run this same code
+/// over the same per-port operations, so they serve identical
+/// departure sequences by construction.
+///
 /// Flow ids stay **global** at this interface: the frontend renumbers
 /// them into each shard's dense local space on the way in (the
 /// [`HwScheduler`] contract) and restores the global id on the way out.
 #[derive(Debug, Clone)]
-pub struct ShardedScheduler<B: SortBackend = SortRetrieveCircuit, P: RankPolicy = WfqRank> {
-    shards: Vec<HwScheduler<B, P>>,
+pub struct ShardedFrontend<B: SortBackend, P: RankPolicy, E> {
+    exec: E,
     /// Each port's egress link rate, bits per second.
     rates: Vec<f64>,
-    /// Global flow id → (initial port, local flow id). The live port is
-    /// [`ShardedScheduler::map`]'s answer; this keeps the local id.
-    route: Vec<(usize, u32)>,
+    /// Global flow id → local flow id on its port.
+    local_id: Vec<u32>,
     /// Per port: local flow id → global flow id.
     global_of: Vec<Vec<u32>>,
     /// Live flow → port ownership (mutated by migrations).
@@ -481,9 +719,11 @@ pub struct ShardedScheduler<B: SortBackend = SortRetrieveCircuit, P: RankPolicy 
     /// Per-flow admitted-packet counts (global ids) — the rebalancer's
     /// signal for *which* flow to move off a hot port.
     flow_arrivals: Vec<u64>,
-    /// Per-port `enqueued` at the last rebalance round, for arrival
+    /// Cumulative admitted packets per port.
+    admitted: Vec<u64>,
+    /// Per-port `admitted` at the last rebalance round, for arrival
     /// deltas.
-    last_enqueued: Vec<u64>,
+    last_admitted: Vec<u64>,
     /// Migration advisor (None until
     /// [`ShardedScheduler::with_rebalancer`]).
     rebalancer: Option<Rebalancer>,
@@ -492,36 +732,43 @@ pub struct ShardedScheduler<B: SortBackend = SortRetrieveCircuit, P: RankPolicy 
     /// Next port the work-conserving round-robin inspects.
     cursor: usize,
     /// Frontend-wide high-water mark of queued packets (all ports at
-    /// the same instant — not the sum of per-port peaks).
+    /// the same instant — not the sum of per-port peaks), observed
+    /// after every enqueue, batch and migration.
     peak: usize,
     /// Packets routed to a shard (disabled until
     /// [`ShardedScheduler::attach_telemetry`]).
     handoffs: Counter,
-    /// Event tracer (disabled by default).
-    tracer: Tracer,
+    /// The backend and policy of the executor's schedulers.
+    backend: PhantomData<(B, P)>,
 }
 
-impl ShardedScheduler {
+/// The sharded frontend running every port on the caller's thread.
+pub type ShardedScheduler<B = SortRetrieveCircuit, P = WfqRank> =
+    ShardedFrontend<B, P, Inline<B, P>>;
+
+/// The sharded frontend with one OS worker thread per port.
+pub type ParallelShardedScheduler<B = SortRetrieveCircuit, P = WfqRank> =
+    ShardedFrontend<B, P, Threaded>;
+
+impl<E: Executor<SortRetrieveCircuit, WfqRank>> ShardedFrontend<SortRetrieveCircuit, WfqRank, E> {
     /// Creates a frontend of `ports` output ports, each an independent
-    /// link of `port_rate_bps` with its own trie-backed scheduler built
-    /// from `config`. Flows (dense global ids) are partitioned across
-    /// ports by [`shard_of`]. For heterogeneous links use
-    /// [`ShardedScheduler::with_port_rates`]; for a different sorting
-    /// engine use [`ShardedScheduler::with_backend`].
+    /// link of `port_rate_bps` with its own trie-backed WFQ scheduler
+    /// built from `config`. Flows (dense global ids) are partitioned
+    /// across ports by [`shard_of`]. For heterogeneous links use
+    /// [`ShardedScheduler::with_port_rates`]; for another backend or
+    /// policy, [`ShardedScheduler::with_policy_port_rates_placement`].
     ///
     /// # Panics
     ///
     /// Panics if `ports` is zero, the rate is not positive and finite,
-    /// flow ids are not dense, or the hash leaves some port without any
-    /// flow (use more flows or fewer ports — an unused port has no
-    /// traffic to schedule).
+    /// flow ids are not dense, or [`check_hash_placement`] fails.
     pub fn new(
         flows: &[FlowSpec],
         port_rate_bps: f64,
         ports: usize,
         config: SchedulerConfig,
     ) -> Self {
-        Self::with_backend(flows, port_rate_bps, ports, config)
+        Self::with_placement(flows, port_rate_bps, ports, config, Placement::Hash)
     }
 
     /// Creates a frontend with one output port per entry of
@@ -534,18 +781,24 @@ impl ShardedScheduler {
     /// # Panics
     ///
     /// Panics if `port_rates_bps` is empty, any rate is not positive and
-    /// finite, flow ids are not dense, or the hash leaves some port
-    /// without any flow.
+    /// finite, flow ids are not dense, or [`check_hash_placement`]
+    /// fails.
     pub fn with_port_rates(
         flows: &[FlowSpec],
         port_rates_bps: &[f64],
         config: SchedulerConfig,
     ) -> Self {
-        Self::with_backend_port_rates(flows, port_rates_bps, config)
+        Self::with_policy_port_rates_placement(
+            flows,
+            port_rates_bps,
+            config,
+            &WfqRank::default(),
+            Placement::Hash,
+        )
     }
 
     /// [`ShardedScheduler::new`] with an explicit [`Placement`] mode.
-    /// [`Placement::Hash`] is byte-identical to [`ShardedScheduler::new`];
+    /// [`Placement::Hash`] is exactly [`ShardedScheduler::new`];
     /// [`Placement::Dynamic`] builds every port with the full flow table
     /// (identity local ids) so [`ShardedScheduler::migrate_flow`] can
     /// move any flow's backlog between ports later.
@@ -573,95 +826,18 @@ impl ShardedScheduler {
     }
 }
 
-impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
-    /// [`ShardedScheduler::new`] with the sorting backend chosen by the
-    /// type parameter: every port's scheduler is built from `B` (see
-    /// [`SortBackend::build`]) and ranks with `P`'s [`Default`].
+impl<B: SortBackend, P: RankPolicy, E: Executor<B, P>> ShardedFrontend<B, P, E> {
+    /// The general constructor: one port per entry of `port_rates_bps`,
+    /// every port's scheduler built on backend `B` and ranking with
+    /// `prototype` (specialized to that port's flows and rate via
+    /// [`RankPolicy::for_link`]), flows placed by `placement`.
     ///
     /// # Panics
     ///
-    /// As [`ShardedScheduler::new`].
-    pub fn with_backend(
-        flows: &[FlowSpec],
-        port_rate_bps: f64,
-        ports: usize,
-        config: SchedulerConfig,
-    ) -> Self
-    where
-        P: Default,
-    {
-        assert!(ports > 0, "at least one port required");
-        Self::with_backend_port_rates(flows, &vec![port_rate_bps; ports], config)
-    }
-
-    /// [`ShardedScheduler::with_port_rates`] with the sorting backend
-    /// chosen by the type parameter.
-    ///
-    /// # Panics
-    ///
-    /// As [`ShardedScheduler::with_port_rates`].
-    pub fn with_backend_port_rates(
-        flows: &[FlowSpec],
-        port_rates_bps: &[f64],
-        config: SchedulerConfig,
-    ) -> Self
-    where
-        P: Default,
-    {
-        Self::with_policy_port_rates(flows, port_rates_bps, config, &P::default())
-    }
-
-    /// [`ShardedScheduler::with_backend`] ranking with `prototype`
-    /// instead of `P`'s [`Default`]: every port's scheduler is built
-    /// from the same prototype, specialized to that port's flow subset
-    /// and rate via [`RankPolicy::for_link`].
-    ///
-    /// # Panics
-    ///
-    /// As [`ShardedScheduler::new`], plus the policy/cleanup
-    /// compatibility checks of
-    /// [`HwScheduler::with_backend_and_policy`].
-    pub fn with_policy(
-        flows: &[FlowSpec],
-        port_rate_bps: f64,
-        ports: usize,
-        config: SchedulerConfig,
-        prototype: &P,
-    ) -> Self {
-        assert!(ports > 0, "at least one port required");
-        Self::with_policy_port_rates(flows, &vec![port_rate_bps; ports], config, prototype)
-    }
-
-    /// [`ShardedScheduler::with_port_rates`] ranking with `prototype`
-    /// (see [`ShardedScheduler::with_policy`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`ShardedScheduler::with_port_rates`], plus the
-    /// policy/cleanup compatibility checks of
-    /// [`HwScheduler::with_backend_and_policy`].
-    pub fn with_policy_port_rates(
-        flows: &[FlowSpec],
-        port_rates_bps: &[f64],
-        config: SchedulerConfig,
-        prototype: &P,
-    ) -> Self {
-        Self::with_policy_port_rates_placement(
-            flows,
-            port_rates_bps,
-            config,
-            prototype,
-            Placement::Hash,
-        )
-    }
-
-    /// [`ShardedScheduler::with_policy_port_rates`] with an explicit
-    /// [`Placement`] mode (see [`ShardedScheduler::with_placement`]).
-    ///
-    /// # Panics
-    ///
-    /// As [`ShardedScheduler::with_policy_port_rates`], plus: dynamic
-    /// placement requires `config.cleanup == CleanupPolicy::Eager`.
+    /// As [`ShardedScheduler::with_port_rates`], plus the policy/cleanup
+    /// compatibility checks of [`HwScheduler::with_backend_and_policy`];
+    /// dynamic placement requires `config.cleanup ==
+    /// CleanupPolicy::Eager`.
     pub fn with_policy_port_rates_placement(
         flows: &[FlowSpec],
         port_rates_bps: &[f64],
@@ -669,7 +845,13 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
         prototype: &P,
         placement: Placement,
     ) -> Self {
-        check_rates(port_rates_bps);
+        assert!(!port_rates_bps.is_empty(), "at least one port required");
+        for (port, &r) in port_rates_bps.iter().enumerate() {
+            assert!(
+                r > 0.0 && r.is_finite(),
+                "port {port}: rate must be positive and finite, got {r}"
+            );
+        }
         if placement == Placement::Dynamic {
             assert_eq!(
                 config.cleanup,
@@ -678,7 +860,8 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
                  (flow extraction walks live tree markers)"
             );
         }
-        let routing = Routing::build(flows, port_rates_bps.len(), placement);
+        let ports = port_rates_bps.len();
+        let routing = Routing::build(flows, ports, placement);
         let shards = routing
             .local
             .iter()
@@ -695,19 +878,20 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
             })
             .collect();
         Self {
-            shards,
+            exec: E::start(shards),
             rates: port_rates_bps.to_vec(),
-            map: ShardMap::new(flows.len(), port_rates_bps.len(), placement),
+            local_id: routing.local_id,
+            global_of: routing.global_of,
+            map: ShardMap::new(flows.len(), ports, placement),
             flow_arrivals: vec![0; flows.len()],
-            last_enqueued: vec![0; port_rates_bps.len()],
+            admitted: vec![0; ports],
+            last_admitted: vec![0; ports],
             rebalancer: None,
             migrations: 0,
-            route: routing.route,
-            global_of: routing.global_of,
             cursor: 0,
             peak: 0,
             handoffs: Counter::disabled(),
-            tracer: Tracer::disabled(),
+            backend: PhantomData,
         }
     }
 
@@ -724,13 +908,14 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
             Placement::Dynamic,
             "rebalancing requires Placement::Dynamic"
         );
-        self.rebalancer = Some(Rebalancer::new(self.shards.len(), cfg));
+        self.rebalancer = Some(Rebalancer::new(self.ports(), cfg));
         self
     }
 
     /// Connects the frontend — and every port's scheduler, each as its
     /// own shard — to a telemetry registry. The registry's shard count
-    /// must equal the port count.
+    /// must equal the port count. Handles are lock-free atomics, so
+    /// threaded workers never contend on them.
     ///
     /// # Panics
     ///
@@ -739,20 +924,17 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
         if tel.is_enabled() {
             assert_eq!(
                 tel.shards(),
-                self.shards.len(),
+                self.ports(),
                 "registry shard count must match port count"
             );
         }
-        for (port, shard) in self.shards.iter_mut().enumerate() {
-            shard.attach_telemetry(tel, port);
-        }
+        self.exec.attach_telemetry(tel);
         self.handoffs = tel.counter("shard_handoffs");
-        self.tracer = tel.tracer();
     }
 
     /// Number of output ports.
     pub fn ports(&self) -> usize {
-        self.shards.len()
+        self.rates.len()
     }
 
     /// One port's egress link rate, bits per second.
@@ -766,17 +948,17 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
 
     /// Number of configured flows (across all ports).
     pub fn flows(&self) -> usize {
-        self.route.len()
+        self.local_id.len()
     }
 
     /// Total queued packets across all ports.
     pub fn len(&self) -> usize {
-        self.shards.iter().map(HwScheduler::len).sum()
+        (0..self.ports()).map(|port| self.exec.port_len(port)).sum()
     }
 
     /// Whether every shard is empty.
     pub fn is_empty(&self) -> bool {
-        self.shards.iter().all(HwScheduler::is_empty)
+        (0..self.ports()).all(|port| self.exec.port_len(port) == 0)
     }
 
     /// Queued packets on one port.
@@ -785,7 +967,7 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
     ///
     /// Panics if `port` is out of range.
     pub fn port_len(&self, port: usize) -> usize {
-        self.shards[port].len()
+        self.exec.port_len(port)
     }
 
     /// The port a configured flow is routed to, or `None` for an
@@ -811,26 +993,17 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
         self.migrations
     }
 
-    /// Read access to one port's scheduler (for experiments).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `port` is out of range.
-    pub fn shard(&self, port: usize) -> &HwScheduler<B, P> {
-        &self.shards[port]
-    }
-
     /// Looks up a packet's route, renumbering its flow id into the
     /// shard's local space. The port comes from the live [`ShardMap`],
     /// so packets racing an in-flight migration go to the flow's **new**
     /// owner rather than being dropped or stranded.
     fn route_packet(&self, pkt: &Packet) -> Result<(usize, Packet), ShardError> {
-        let &(_, local) = self
-            .route
+        let &local = self
+            .local_id
             .get(pkt.flow.0 as usize)
             .ok_or(ShardError::UnknownFlow {
                 flow: pkt.flow.0,
-                flows: self.route.len(),
+                flows: self.local_id.len(),
             })?;
         let port = self
             .map
@@ -841,24 +1014,16 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
         Ok((port, routed))
     }
 
-    /// Admits an already-routed packet to its shard, maintaining the
-    /// frontend-wide occupancy high-water mark.
-    fn admit(&mut self, port: usize, routed: Packet) -> Result<(), ShardError> {
-        let global = self.global_of[port][routed.flow.0 as usize];
-        self.tracer.emit(
-            port,
-            self.shards[port].cycles(),
-            EventKind::ShardHandoff,
-            u64::from(global),
-            routed.seq,
-        );
-        self.shards[port]
-            .enqueue(routed)
-            .map_err(|source| ShardError::Port { port, source })?;
-        self.handoffs.inc(port, 1);
-        self.flow_arrivals[global as usize] += 1;
-        self.peak = self.peak.max(self.len());
-        Ok(())
+    /// Restores a served packet's global flow id.
+    fn restore(&self, port: usize, mut pkt: Packet) -> Packet {
+        pkt.flow = FlowId(self.global_of[port][pkt.flow.0 as usize]);
+        pkt
+    }
+
+    /// Books one admitted packet of global flow `flow` on `port`.
+    fn note_admitted(&mut self, port: usize, flow: FlowId) {
+        self.flow_arrivals[flow.0 as usize] += 1;
+        self.admitted[port] += 1;
     }
 
     /// Routes one packet (global flow id) to its shard.
@@ -869,13 +1034,19 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
     /// [`ShardError::Port`] wrapping the shard's refusal.
     pub fn enqueue(&mut self, pkt: Packet) -> Result<(), ShardError> {
         let (port, routed) = self.route_packet(&pkt)?;
-        self.admit(port, routed)
+        self.exec
+            .enqueue(port, routed)
+            .map_err(|source| ShardError::Port { port, source })?;
+        self.handoffs.inc(port, 1);
+        self.note_admitted(port, pkt.flow);
+        self.peak = self.peak.max(self.len());
+        Ok(())
     }
 
-    /// Routes a batch of packets, bucketing them per shard first so each
-    /// sorter sees its arrivals back-to-back (the software analogue of
-    /// per-port ingress FIFOs). Relative order *within* each shard — the
-    /// order WFQ tags care about — is exactly the batch order.
+    /// Routes a batch of packets: buckets them per shard (preserving
+    /// batch order within each shard — the order WFQ tags care about)
+    /// and hands each shard its bucket in one operation, which the
+    /// [`Threaded`] executor runs on all ports concurrently.
     ///
     /// Returns the number of packets accepted.
     ///
@@ -883,38 +1054,58 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
     ///
     /// All flow ids are validated up front, so an unknown flow rejects
     /// the whole batch with nothing enqueued ([`BatchError::accepted`]
-    /// is 0). A shard refusal stops admission mid-way: the error's
-    /// `accepted` count says how many packets were admitted, and those
-    /// stay enqueued — the batch is not rolled back. Because admission
-    /// proceeds shard by shard, the admitted packets are the failing
-    /// shard's bucket prefix plus every lower-numbered shard's complete
-    /// bucket — **not** necessarily a prefix of the batch.
+    /// is 0). If a shard refuses a packet, that shard stops at the
+    /// refusal but every other shard still admits its bucket: the
+    /// error's `accepted` counts every admitted packet across all
+    /// shards, those packets stay enqueued, and the reported error is
+    /// the lowest-numbered failing port's.
     pub fn enqueue_batch(&mut self, pkts: &[Packet]) -> Result<usize, BatchError> {
-        let mut buckets: Vec<Vec<Packet>> = vec![Vec::new(); self.shards.len()];
+        let mut buckets: Vec<Vec<Packet>> = vec![Vec::new(); self.ports()];
+        let mut bucket_flows: Vec<Vec<FlowId>> = vec![Vec::new(); self.ports()];
         for pkt in pkts {
             let (port, routed) = self
                 .route_packet(pkt)
                 .map_err(|error| BatchError { accepted: 0, error })?;
             buckets[port].push(routed);
+            bucket_flows[port].push(pkt.flow);
         }
-        let mut accepted = 0;
-        for (port, bucket) in buckets.into_iter().enumerate() {
-            for routed in bucket {
-                self.admit(port, routed)
-                    .map_err(|error| BatchError { accepted, error })?;
-                accepted += 1;
+        let outcomes = self.exec.enqueue_buckets(buckets);
+        let mut total = 0;
+        let mut first_error = None;
+        for (port, (accepted, error)) in outcomes.into_iter().enumerate() {
+            // A shard admits a prefix of its bucket.
+            for &flow in &bucket_flows[port][..accepted] {
+                self.note_admitted(port, flow);
+            }
+            total += accepted;
+            self.handoffs.inc(port, accepted as u64);
+            if let (Some(source), None) = (error, &first_error) {
+                first_error = Some(ShardError::Port { port, source });
             }
         }
-        Ok(accepted)
+        self.peak = self.peak.max(self.len());
+        match first_error {
+            None => Ok(total),
+            Some(error) => Err(BatchError {
+                accepted: total,
+                error,
+            }),
+        }
     }
 
     /// Serves the next packet under work-conserving round-robin: starting
-    /// from the port after the last one served, the first backlogged
-    /// port's smallest tag is dequeued. Returns the serving port and the
+    /// from the port after the last one served, the first port that
+    /// yields a packet is served. Returns the serving port and the
     /// packet (global flow id restored), or `None` only when **every**
     /// shard is empty.
+    ///
+    /// Every port up to the served one is polled, as the hardware
+    /// arbiter would. For throughput on the [`Threaded`] executor use
+    /// [`ShardedScheduler::dequeue_round`] or
+    /// [`ShardedScheduler::drain`], which pay one round trip per port
+    /// instead of one per packet.
     pub fn dequeue(&mut self) -> Option<(usize, Packet)> {
-        let ports = self.shards.len();
+        let ports = self.ports();
         for step in 0..ports {
             let port = (self.cursor + step) % ports;
             if let Some(pkt) = self.dequeue_port(port) {
@@ -942,42 +1133,81 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
     ///
     /// Panics if `port` is out of range.
     pub fn dequeue_port_stamped(&mut self, port: usize) -> Option<(Packet, SojournStamp)> {
-        let (mut pkt, stamp) = self.shards[port].dequeue_stamped()?;
-        pkt.flow = FlowId(self.global_of[port][pkt.flow.0 as usize]);
-        Some((pkt, stamp))
+        let (pkt, stamp) = self.exec.dequeue(port)?;
+        Some((self.restore(port, pkt), stamp))
+    }
+
+    /// Serves up to `per_port` packets from **every** port in one
+    /// operation (concurrently on the [`Threaded`] executor), then
+    /// interleaves them in the order the packet-at-a-time round-robin
+    /// would have served them. Returns `(port, packet)` pairs; empty
+    /// only when every shard is empty.
+    pub fn dequeue_round(&mut self, per_port: usize) -> Vec<(usize, Packet)> {
+        self.gather(per_port)
+            .into_iter()
+            .map(|(port, pkt, _)| (port, pkt))
+            .collect()
+    }
+
+    /// Dequeues everything in round-robin order (see
+    /// [`ShardedScheduler::dequeue_round`]).
+    pub fn drain(&mut self) -> Vec<(usize, Packet)> {
+        self.dequeue_round(usize::MAX)
+    }
+
+    /// [`ShardedScheduler::drain`] keeping each packet's circuit-cycle
+    /// stamps — the batched feed for per-flow latency attribution
+    /// ([`telemetry::LatencyTracker`]).
+    pub fn drain_stamped(&mut self) -> Vec<(usize, Packet, SojournStamp)> {
+        self.gather(usize::MAX)
+    }
+
+    /// Takes up to `max` packets from every backlogged port and replays
+    /// the work-conserving round-robin over the per-port tag-order runs:
+    /// starting at the cursor, each rotation serves one packet from the
+    /// next non-exhausted port, advancing the cursor exactly as serving
+    /// the packets one by one would have.
+    fn gather(&mut self, max: usize) -> Vec<(usize, Packet, SojournStamp)> {
+        let mut runs = self.exec.dequeue_runs(max);
+        let ports = runs.len();
+        let total: usize = runs.iter().map(VecDeque::len).sum();
+        let mut out = Vec::with_capacity(total);
+        while out.len() < total {
+            for step in 0..ports {
+                let port = (self.cursor + step) % ports;
+                if let Some((pkt, stamp)) = runs[port].pop_front() {
+                    out.push((port, self.restore(port, pkt), stamp));
+                    self.cursor = (port + 1) % ports;
+                    break;
+                }
+            }
+        }
+        out
     }
 
     /// Per-port and aggregated statistics.
     pub fn stats(&self) -> ShardStats {
-        let per_port: Vec<SchedulerStats> = self.shards.iter().map(HwScheduler::stats).collect();
-        aggregate_stats(per_port, self.peak)
+        aggregate_stats(self.exec.stats(), self.peak)
     }
 
     /// End-of-run fault accounting on every port (see
-    /// [`HwScheduler::reconcile_faults`]). Idempotent; a no-op without a
-    /// fault campaign.
-    pub fn reconcile_faults(&mut self) {
-        for shard in &mut self.shards {
-            shard.reconcile_faults();
-        }
-    }
-
-    /// Aggregated `(injected, detected, repaired, silent)` fault-ledger
-    /// totals across ports (see [`HwScheduler::fault_totals`]).
-    pub fn fault_totals(&self) -> (u64, u64, u64, u64) {
-        self.shards.iter().fold((0, 0, 0, 0), |acc, shard| {
-            let (i, d, r, s) = shard.fault_totals();
-            (acc.0 + i, acc.1 + d, acc.2 + r, acc.3 + s)
-        })
+    /// [`HwScheduler::reconcile_faults`]): sweeps outstanding
+    /// detections and folds never-detected faults into the silent
+    /// counters. Returns the `(injected, detected, repaired, silent)`
+    /// totals across ports, so `detected + silent == injected` is
+    /// checkable. Idempotent; all zeros without a fault campaign.
+    pub fn reconcile_faults(&mut self) -> (u64, u64, u64, u64) {
+        self.exec.reconcile_faults()
     }
 
     /// Moves one flow's entire queued backlog — and its rank state —
     /// from its current port to `to`, preserving per-flow packet order
     /// and translating finishing tags into the destination's virtual
     /// clock (see [`HwScheduler::extract_flow`] /
-    /// [`HwScheduler::install_flow`]). Subsequent enqueues for the flow
-    /// route to `to`. Returns the number of packets moved (0 if the
-    /// flow already lives on `to`).
+    /// [`HwScheduler::install_flow`]). The [`ShardMap`] points at `to`
+    /// before the backlog is installed, so any later enqueue lands
+    /// behind it. Returns the number of packets moved (0 if the flow
+    /// already lives on `to`).
     ///
     /// # Errors
     ///
@@ -992,13 +1222,13 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
     /// or if `to` is out of range.
     pub fn migrate_flow(&mut self, flow: FlowId, to: usize) -> Result<usize, ShardError> {
         assert!(
-            to < self.shards.len(),
+            to < self.ports(),
             "port {to} out of range ({} ports)",
-            self.shards.len()
+            self.ports()
         );
         let from = self.map.port_of(flow).ok_or(ShardError::UnknownFlow {
             flow: flow.0,
-            flows: self.route.len(),
+            flows: self.flows(),
         })?;
         if from == to {
             return Ok(0);
@@ -1006,11 +1236,11 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
         self.map.begin_migration(flow, to);
         // Dynamic placement gives every shard identity local ids, so the
         // global flow id is also the local one on both ports.
-        let moved = self.shards[from].extract_flow(flow);
+        let moved = self.exec.extract_flow(from, flow);
         let packets = moved.len();
-        if let Err(source) = self.shards[to].install_flow(flow, &moved) {
-            self.shards[from]
-                .install_flow(flow, &moved)
+        if let Err((source, moved)) = self.exec.install_flow(to, flow, moved) {
+            self.exec
+                .install_flow(from, flow, moved)
                 .expect("reinstalling into the slots just vacated cannot fail");
             self.map.abort_migration();
             return Err(ShardError::Port { port: to, source });
@@ -1041,20 +1271,13 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
             self.rebalancer.is_some(),
             "no rebalancer armed; use with_rebalancer"
         );
-        let loads: Vec<ShardLoad> = self
-            .shards
-            .iter()
-            .enumerate()
-            .map(|(port, shard)| {
-                let enqueued = shard.stats().enqueued;
-                let arrivals = enqueued - self.last_enqueued[port];
-                self.last_enqueued[port] = enqueued;
-                ShardLoad {
-                    arrivals,
-                    backlog: shard.len() as u64,
-                }
+        let loads: Vec<ShardLoad> = (0..self.ports())
+            .map(|port| ShardLoad {
+                arrivals: self.admitted[port] - self.last_admitted[port],
+                backlog: self.exec.port_len(port) as u64,
             })
             .collect();
+        self.last_admitted.clone_from(&self.admitted);
         let hint = self
             .rebalancer
             .as_mut()
@@ -1068,6 +1291,17 @@ impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
             Ok(_) => Some((flow, hint.from, hint.to)),
             Err(_) => None,
         }
+    }
+}
+
+impl<B: SortBackend, P: RankPolicy> ShardedScheduler<B, P> {
+    /// Read access to one port's scheduler (for experiments).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `port` is out of range.
+    pub fn shard(&self, port: usize) -> &HwScheduler<B, P> {
+        &self.exec.shards[port]
     }
 }
 
@@ -1173,74 +1407,11 @@ impl<B: SortBackend, P: RankPolicy> ShardedLinkSim<B, P> {
             trace.windows(2).all(|w| w[0].arrival <= w[1].arrival),
             "trace must be sorted by arrival time"
         );
-        if self.rebalance_every.is_some() {
-            return self.run_interleaved(trace);
-        }
-        let ports = self.frontend.ports();
-        let mut per_port: Vec<Vec<Packet>> = vec![Vec::new(); ports];
-        for pkt in trace {
-            let port = self
-                .frontend
-                .port_of(pkt.flow)
-                .ok_or(ShardError::UnknownFlow {
-                    flow: pkt.flow.0,
-                    flows: self.frontend.flows(),
-                })?;
-            per_port[port].push(*pkt);
-        }
         let mut out = Vec::with_capacity(trace.len());
-        for (port, arrivals) in per_port.iter().enumerate() {
-            let mut now = Time::ZERO;
-            let mut next = 0usize;
-            loop {
-                while next < arrivals.len() && arrivals[next].arrival <= now {
-                    if let Err(e) = self.frontend.enqueue(arrivals[next]) {
-                        match (self.drop_policy, &e) {
-                            (
-                                DropPolicy::CountAndContinue,
-                                ShardError::Port {
-                                    source:
-                                        SchedulerError::BufferFull { .. } | SchedulerError::Sorter(_),
-                                    ..
-                                },
-                            ) => self.drops += 1,
-                            _ => return Err(e),
-                        }
-                    }
-                    next += 1;
-                }
-                match self.frontend.dequeue_port_stamped(port) {
-                    Some((pkt, stamp)) => {
-                        let start = now;
-                        let finish = now + pkt.service_time(self.frontend.port_rate(port));
-                        if let Some(lat) = &mut self.latency {
-                            lat.record(
-                                pkt.flow.0,
-                                stamp.cycles(),
-                                start.0 - pkt.arrival.0,
-                                finish.0 - start.0,
-                            );
-                        }
-                        out.push(PortDeparture {
-                            port,
-                            departure: Departure {
-                                packet: pkt,
-                                start,
-                                finish,
-                            },
-                            cycles: stamp,
-                        });
-                        now = finish;
-                    }
-                    None => {
-                        if next < arrivals.len() {
-                            now = arrivals[next].arrival;
-                        } else {
-                            break;
-                        }
-                    }
-                }
-            }
+        if let Some(every) = self.rebalance_every {
+            self.run_interleaved(trace, every, &mut out)?;
+        } else {
+            self.run_per_port(trace, &mut out)?;
         }
         out.sort_by(|a, b| {
             a.departure
@@ -1251,56 +1422,74 @@ impl<B: SortBackend, P: RankPolicy> ShardedLinkSim<B, P> {
         Ok(out)
     }
 
+    /// The static-placement run mode: routing never changes, so each
+    /// port's arrival/service loop runs on its own.
+    fn run_per_port(
+        &mut self,
+        trace: &[Packet],
+        out: &mut Vec<PortDeparture>,
+    ) -> Result<(), ShardError> {
+        let mut per_port: Vec<Vec<Packet>> = vec![Vec::new(); self.frontend.ports()];
+        for pkt in trace {
+            let port = self
+                .frontend
+                .port_of(pkt.flow)
+                .ok_or(ShardError::UnknownFlow {
+                    flow: pkt.flow.0,
+                    flows: self.frontend.flows(),
+                })?;
+            per_port[port].push(*pkt);
+        }
+        for (port, arrivals) in per_port.iter().enumerate() {
+            let mut now = Time::ZERO;
+            let mut next = 0usize;
+            loop {
+                while next < arrivals.len() && arrivals[next].arrival <= now {
+                    self.admit(arrivals[next])?;
+                    next += 1;
+                }
+                match self.frontend.dequeue_port_stamped(port) {
+                    Some((pkt, stamp)) => now = self.depart(port, pkt, stamp, now, out),
+                    None if next < arrivals.len() => now = arrivals[next].arrival,
+                    None => break,
+                }
+            }
+        }
+        Ok(())
+    }
+
     /// The rebalance-aware run mode: arrivals are enqueued in global
     /// trace order (migration means a port's future service can depend
     /// on another port's past arrivals, so the loops cannot decouple),
-    /// with one rebalance round every [`ShardedLinkSim::rebalance_every`]
-    /// enqueues. Each port remains an independent egress link at its own
-    /// rate: a packet's service starts at the later of the port's
-    /// free-instant and its own arrival.
-    fn run_interleaved(&mut self, trace: &[Packet]) -> Result<Vec<PortDeparture>, ShardError> {
-        let every = self
-            .rebalance_every
-            .expect("run_interleaved only runs with a cadence set");
+    /// with one rebalance round every `every` enqueues. Each port
+    /// remains an independent egress link at its own rate: a packet's
+    /// service starts at the later of the port's free-instant and its
+    /// own arrival.
+    fn run_interleaved(
+        &mut self,
+        trace: &[Packet],
+        every: usize,
+        out: &mut Vec<PortDeparture>,
+    ) -> Result<(), ShardError> {
         assert!(
             self.frontend.rebalancer.is_some(),
             "rebalance cadence set but no rebalancer armed; use with_rebalancer"
         );
         let ports = self.frontend.ports();
         let mut free_at = vec![Time::ZERO; ports];
-        let mut out = Vec::with_capacity(trace.len());
-        let mut arrivals = 0usize;
-        for pkt in trace {
+        for (i, pkt) in trace.iter().enumerate() {
             for port in 0..ports {
-                self.serve_through(port, pkt.arrival, &mut free_at, &mut out);
+                self.serve_through(port, pkt.arrival, &mut free_at, out);
             }
-            if let Err(e) = self.frontend.enqueue(*pkt) {
-                match (self.drop_policy, &e) {
-                    (
-                        DropPolicy::CountAndContinue,
-                        ShardError::Port {
-                            source: SchedulerError::BufferFull { .. } | SchedulerError::Sorter(_),
-                            ..
-                        },
-                    ) => self.drops += 1,
-                    _ => return Err(e),
-                }
-            }
-            arrivals += 1;
-            if arrivals.is_multiple_of(every) {
+            self.admit(*pkt)?;
+            if (i + 1).is_multiple_of(every) {
                 self.frontend.maybe_rebalance();
             }
         }
         for port in 0..ports {
-            self.serve_through(port, Time(f64::INFINITY), &mut free_at, &mut out);
+            self.serve_through(port, Time(f64::INFINITY), &mut free_at, out);
         }
-        out.sort_by(|a, b| {
-            a.departure
-                .finish
-                .cmp(&b.departure.finish)
-                .then(a.port.cmp(&b.port))
-        });
-        Ok(out)
+        Ok(())
     }
 
     /// Serves `port`'s backlog for as long as its link comes free by
@@ -1317,26 +1506,54 @@ impl<B: SortBackend, P: RankPolicy> ShardedLinkSim<B, P> {
                 break;
             };
             let start = free_at[port].max(pkt.arrival);
-            let finish = start + pkt.service_time(self.frontend.port_rate(port));
-            if let Some(lat) = &mut self.latency {
-                lat.record(
-                    pkt.flow.0,
-                    stamp.cycles(),
-                    start.0 - pkt.arrival.0,
-                    finish.0 - start.0,
-                );
-            }
-            out.push(PortDeparture {
-                port,
-                departure: Departure {
-                    packet: pkt,
-                    start,
-                    finish,
-                },
-                cycles: stamp,
-            });
-            free_at[port] = finish;
+            free_at[port] = self.depart(port, pkt, stamp, start, out);
         }
+    }
+
+    /// Enqueues one arrival; under [`DropPolicy::CountAndContinue`] a
+    /// shard's per-packet refusal is counted instead of returned.
+    fn admit(&mut self, pkt: Packet) -> Result<(), ShardError> {
+        match self.frontend.enqueue(pkt) {
+            Err(ShardError::Port {
+                source: SchedulerError::BufferFull { .. } | SchedulerError::Sorter(_),
+                ..
+            }) if self.drop_policy == DropPolicy::CountAndContinue => {
+                self.drops += 1;
+                Ok(())
+            }
+            admitted => admitted,
+        }
+    }
+
+    /// Records `pkt`'s transmission on `port` starting at `start`;
+    /// returns when it finishes.
+    fn depart(
+        &mut self,
+        port: usize,
+        pkt: Packet,
+        stamp: SojournStamp,
+        start: Time,
+        out: &mut Vec<PortDeparture>,
+    ) -> Time {
+        let finish = start + pkt.service_time(self.frontend.port_rate(port));
+        if let Some(lat) = &mut self.latency {
+            lat.record(
+                pkt.flow.0,
+                stamp.cycles(),
+                start.0 - pkt.arrival.0,
+                finish.0 - start.0,
+            );
+        }
+        out.push(PortDeparture {
+            port,
+            departure: Departure {
+                packet: pkt,
+                start,
+                finish,
+            },
+            cycles: stamp,
+        });
+        finish
     }
 
     /// Packets refused and skipped under

@@ -4,7 +4,9 @@
 
 use proptest::prelude::*;
 
-use scheduler::{shard_of, ParallelShardedScheduler, SchedulerConfig, ShardedScheduler};
+use scheduler::{
+    shard_of, AdmissionPolicy, ParallelShardedScheduler, SchedulerConfig, ShardedScheduler,
+};
 use traffic::{FlowId, FlowSpec, Packet, SizeDist, Time};
 
 fn flows(n: usize) -> Vec<FlowSpec> {
@@ -83,28 +85,39 @@ proptest! {
         prop_assert_eq!(seen, trace.len());
     }
 
-    /// Determinism despite threading: for any trace and port count, the
-    /// thread-per-shard frontend drains the exact global round-robin
-    /// sequence of the sequential frontend — same packets, same ports,
-    /// same order.
+    /// Determinism despite threading: for any trace, port count and
+    /// admission policy on a small buffer, the thread-per-shard
+    /// frontend admits the same packets, reports the same occupancy,
+    /// and drains the exact global round-robin sequence of the
+    /// sequential frontend — same packets, same ports, same order.
     #[test]
     fn parallel_frontend_matches_sequential_dequeue_sequence(
         picks in proptest::collection::vec(0u32..10_000, 16..200),
         ports in 1usize..5,
+        admission in 0usize..3,
     ) {
         let fl = flows(24);
         let trace = stream(&picks, 24);
+        let config = SchedulerConfig {
+            capacity: 8,
+            admission: [AdmissionPolicy::TailDrop, AdmissionPolicy::PushOut, AdmissionPolicy::wred()]
+                [admission],
+            ..SchedulerConfig::default()
+        };
 
-        let mut seq = ShardedScheduler::new(&fl, 1e9, ports, SchedulerConfig::default());
-        seq.enqueue_batch(&trace).unwrap();
+        let mut seq = ShardedScheduler::new(&fl, 1e9, ports, config);
+        let seq_admitted = seq.enqueue_batch(&trace);
+        let seq_len = seq.len();
         let mut reference = Vec::new();
         while let Some(served) = seq.dequeue() {
             reference.push(served);
         }
 
-        let mut par = ParallelShardedScheduler::new(&fl, 1e9, ports, SchedulerConfig::default());
-        par.enqueue_batch(&trace).unwrap();
+        let mut par = ParallelShardedScheduler::new(&fl, 1e9, ports, config);
+        prop_assert_eq!(par.enqueue_batch(&trace), seq_admitted);
+        prop_assert_eq!(par.len(), seq_len);
         let drained = par.drain();
         prop_assert_eq!(drained, reference);
+        prop_assert!(par.is_empty());
     }
 }

@@ -76,7 +76,7 @@ proptest! {
         prop_assert_eq!(snap.value("sched_dropped_total"), Some(0.0));
     }
 
-    /// Thread-per-shard frontend: telemetry attached at construction
+    /// Thread-per-shard frontend: telemetry attached before the run
     /// must not perturb the drained global sequence relative to an
     /// uninstrumented parallel run.
     #[test]
@@ -94,7 +94,8 @@ proptest! {
 
         let tel = Telemetry::with_tracing(ports, 4);
         let mut wired =
-            ParallelShardedScheduler::with_telemetry(&fl, &rates, SchedulerConfig::default(), &tel);
+            ParallelShardedScheduler::with_port_rates(&fl, &rates, SchedulerConfig::default());
+        wired.attach_telemetry(&tel);
         wired.enqueue_batch(&trace).unwrap();
         let observed = wired.drain();
 

@@ -44,7 +44,7 @@ use wfq_sorter::fairq::{
 use wfq_sorter::fastpath::FfsSorter;
 use wfq_sorter::faultsim::{FaultConfig, FaultPolicy, FaultSpec};
 use wfq_sorter::scheduler::{
-    shard_of, AdmissionPolicy, HwLinkSim, HwScheduler, Placement, RebalancerConfig,
+    check_hash_placement, AdmissionPolicy, HwLinkSim, HwScheduler, Placement, RebalancerConfig,
     SchedulerConfig, SchedulerStats, ShardedLinkSim, ShardedScheduler,
 };
 use wfq_sorter::tagsort::Geometry;
@@ -689,16 +689,9 @@ fn run_software(
 /// hardware sorter per egress link, and the report rolls per-flow
 /// metrics up per port.
 fn run_multiport<B: SortBackend>(args: &Args, flows: &[FlowSpec], trace: &[Packet]) -> ExitCode {
-    for port in 0..args.ports {
-        if !flows.iter().any(|f| shard_of(f.id, args.ports) == port) {
-            eprintln!(
-                "error: --ports {}: the flow-affinity hash leaves port {port} without \
-                 flows ({} flows); use more --flows or fewer ports",
-                args.ports,
-                flows.len()
-            );
-            return ExitCode::FAILURE;
-        }
+    if let Err(e) = check_hash_placement(flows.len(), args.ports) {
+        eprintln!("error: --ports {}: {e}", args.ports);
+        return ExitCode::FAILURE;
     }
     let rates: Vec<f64> = args
         .port_rates
