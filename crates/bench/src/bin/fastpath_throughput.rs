@@ -1,6 +1,6 @@
 //! **Experiment E16 — software fast path:** real wall-clock throughput
 //! of the FFS (find-first-set) sorter behind the full scheduler, against
-//! the cycle-accurate trie simulation and the binary-heap oracle.
+//! the cycle-accurate trie simulation and the ordered-set oracle.
 //!
 //! The backends are sequence-identical by contract (the conformance
 //! matrix in `crates/scheduler/tests/backend_matrix.rs` pins that), so

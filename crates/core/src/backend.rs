@@ -12,7 +12,7 @@
 //!   with full cycle accounting and fault modeling;
 //! * the flat FFS sorter (`fastpath::FfsSorter`) — the software
 //!   fast path, sequence-identical to the trie on every workload;
-//! * the binary-heap oracle ([`HeapSorter`](crate::HeapSorter)) — the
+//! * the ordered-set oracle ([`HeapSorter`](crate::HeapSorter)) — the
 //!   obviously-correct reference the other two are cross-checked
 //!   against.
 //!
@@ -139,6 +139,12 @@ pub trait SortBackend {
     /// eager** here, even under [`CleanupPolicy::Lazy`]: a stale marker
     /// *above* the live set would win closest-match searches, so it must
     /// be cleared the moment the last duplicate of the maximum departs.
+    ///
+    /// Push-out runs on every arrival at a full buffer, so it must cost
+    /// no more host time than [`SortBackend::pop_min`]: the trie's tag
+    /// store finds the tail from a tail register and a back-pointer
+    /// mirror, never by walking the list, and the heap oracle pops the
+    /// last entry of its ordered set.
     fn pop_max(&mut self) -> Option<(Tag, PacketRef)>;
 
     /// The smallest stored tag, without removing it (no cycle charge).

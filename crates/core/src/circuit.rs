@@ -395,6 +395,12 @@ impl SortRetrieveCircuit {
     /// departs (LIFO at the tail; the translation table already points
     /// at it).
     ///
+    /// The tag store's tail register names the victim and its
+    /// back-pointer mirror the predecessor, so no list walk happens in
+    /// host time either (see [`TagStore::pop_max`]). In tolerant mode a
+    /// predecessor that does not point at the tail is logged with the
+    /// other [`StoreCorruption`]s.
+    ///
     /// Reconciliation is always eager here, even under
     /// [`CleanupPolicy::Lazy`]: a stale marker *above* the live set
     /// would win closest-match searches and dereference a freed link,

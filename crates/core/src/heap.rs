@@ -1,8 +1,9 @@
-//! The binary-heap reference backend: the obviously-correct oracle.
+//! The ordered-set reference backend: the obviously-correct oracle.
 //!
-//! [`HeapSorter`] implements [`SortBackend`] with `std`'s
-//! [`BinaryHeap`] and an insertion sequence number for the FCFS
-//! tie-break. It models no hardware at all — no trie, no translation
+//! [`HeapSorter`] implements [`SortBackend`] with `std`'s [`BTreeSet`]
+//! of `(tag, insertion seq, payload)`: the sequence number breaks ties
+//! first-come-first-served, and both ends of the order are O(log n).
+//! It models no hardware at all — no trie, no translation
 //! table, no SRAM — which is the point: its behavior is simple enough
 //! to trust by inspection, so the trie circuit and the FFS fast path
 //! are cross-checked against it. It still honors the full backend
@@ -10,8 +11,7 @@
 //! recycling) so a scheduler driving it produces identical departure
 //! sequences *and* identical sojourn stamps.
 
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use crate::backend::{BackendSpec, SortBackend};
 use crate::circuit::{CircuitStats, CleanupPolicy, SortError};
@@ -19,7 +19,7 @@ use crate::geometry::Geometry;
 use crate::tag::{PacketRef, Tag};
 use hwsim::{AccessStats, SramStats};
 
-/// A [`SortBackend`] backed by [`BinaryHeap`], for oracle testing.
+/// A [`SortBackend`] backed by an ordered set, for oracle testing.
 ///
 /// # Example
 ///
@@ -44,10 +44,11 @@ pub struct HeapSorter {
     capacity: usize,
     policy: CleanupPolicy,
     slot_cycles: u64,
-    /// Min-heap of `(tag value, insertion seq, packet ref)`: the seq
-    /// breaks tag ties first-come-first-served, matching the circuit's
-    /// newest-at-translation / oldest-served-first linked-list order.
-    heap: BinaryHeap<Reverse<(u32, u64, u32)>>,
+    /// `(tag value, insertion seq, packet ref)` in sort order: the seq
+    /// breaks tag ties first-come-first-served at the minimum and
+    /// newest-first at the maximum, matching the circuit's linked-list
+    /// order.
+    entries: BTreeSet<(u32, u64, u32)>,
     seq: u64,
     /// Live duplicate counts per tag value (ground truth for eager
     /// marker clearing and the recycle-section safety check).
@@ -68,7 +69,7 @@ impl SortBackend for HeapSorter {
             capacity: spec.capacity,
             policy: spec.cleanup,
             slot_cycles: spec.memory.slot_cycles(),
-            heap: BinaryHeap::new(),
+            entries: BTreeSet::new(),
             seq: 0,
             live: BTreeMap::new(),
             markers: BTreeSet::new(),
@@ -92,7 +93,7 @@ impl SortBackend for HeapSorter {
     }
 
     fn len(&self) -> usize {
-        self.heap.len()
+        self.entries.len()
     }
 
     fn insert(&mut self, tag: Tag, payload: PacketRef) -> Result<(), SortError> {
@@ -106,7 +107,7 @@ impl SortBackend for HeapSorter {
             // The same wrap contract as the trie: a drained system must
             // restart at or above the highest stale marker, and a live
             // system rejects tags below its minimum.
-            if let Some(&Reverse((minimum, _, _))) = self.heap.peek() {
+            if let Some(&(minimum, _, _)) = self.entries.first() {
                 if tag.value() < minimum {
                     return Err(SortError::BelowMinimum {
                         tag,
@@ -122,12 +123,12 @@ impl SortBackend for HeapSorter {
                 }
             }
         }
-        if self.heap.len() == self.capacity {
+        if self.entries.len() == self.capacity {
             return Err(SortError::Full {
                 capacity: self.capacity,
             });
         }
-        self.heap.push(Reverse((tag.value(), self.seq, payload.0)));
+        self.entries.insert((tag.value(), self.seq, payload.0));
         self.seq += 1;
         *self.live.entry(tag.value()).or_insert(0) += 1;
         self.markers.insert(tag.value());
@@ -137,55 +138,24 @@ impl SortBackend for HeapSorter {
     }
 
     fn pop_min(&mut self) -> Option<(Tag, PacketRef)> {
-        let Reverse((value, _, payload)) = self.heap.pop()?;
-        let count = self
-            .live
-            .get_mut(&value)
-            .expect("live count for popped tag");
-        *count -= 1;
-        if *count == 0 {
-            self.live.remove(&value);
-            if self.policy == CleanupPolicy::Eager {
-                self.markers.remove(&value);
-            }
-        }
-        self.cycles += self.slot_cycles;
-        self.ops += 1;
-        Some((Tag(value), PacketRef(payload)))
+        let entry = self.entries.pop_first()?;
+        Some(self.remove(entry, self.policy == CleanupPolicy::Eager))
     }
 
     fn pop_max(&mut self) -> Option<(Tag, PacketRef)> {
-        // O(n) rebuild — fine for an oracle. LIFO among duplicates of
-        // the maximum: the largest (tag, seq) pair is exactly the
-        // most-recently-inserted instance of the largest tag.
-        let target = self.heap.iter().map(|&Reverse(e)| e).max()?;
-        let (value, _, payload) = target;
-        let remaining: Vec<_> = self
-            .heap
-            .drain()
-            .filter(|&Reverse(e)| e != target)
-            .collect();
-        self.heap = remaining.into();
-        let count = self
-            .live
-            .get_mut(&value)
-            .expect("live count for popped tag");
-        *count -= 1;
-        if *count == 0 {
-            self.live.remove(&value);
-            // Always eager (see the trait contract): a stale marker
-            // above the live set must never survive a push-out.
-            self.markers.remove(&value);
-        }
-        self.cycles += self.slot_cycles;
-        self.ops += 1;
-        Some((Tag(value), PacketRef(payload)))
+        // LIFO among duplicates of the maximum: the largest (tag, seq)
+        // pair is the most-recently-inserted instance of the largest
+        // tag. Marker cleanup is always eager (see the trait contract):
+        // a stale marker above the live set must never survive a
+        // push-out.
+        let entry = self.entries.pop_last()?;
+        Some(self.remove(entry, true))
     }
 
     fn peek_min(&self) -> Option<(Tag, PacketRef)> {
-        self.heap
-            .peek()
-            .map(|&Reverse((value, _, payload))| (Tag(value), PacketRef(payload)))
+        self.entries
+            .first()
+            .map(|&(value, _, payload)| (Tag(value), PacketRef(payload)))
     }
 
     fn recycle_section(&mut self, section: u32) -> usize {
@@ -219,6 +189,32 @@ impl SortBackend for HeapSorter {
             recycled_sections: self.recycled_sections,
             recycled_markers: self.recycled_markers,
         }
+    }
+}
+
+impl HeapSorter {
+    /// Bookkeeping for a popped entry: drops its live count, clears its
+    /// marker with the last duplicate when `clear_marker`, and charges
+    /// one slot.
+    fn remove(
+        &mut self,
+        (value, _, payload): (u32, u64, u32),
+        clear_marker: bool,
+    ) -> (Tag, PacketRef) {
+        let count = self
+            .live
+            .get_mut(&value)
+            .expect("live count for popped tag");
+        *count -= 1;
+        if *count == 0 {
+            self.live.remove(&value);
+            if clear_marker {
+                self.markers.remove(&value);
+            }
+        }
+        self.cycles += self.slot_cycles;
+        self.ops += 1;
+        (Tag(value), PacketRef(payload))
     }
 }
 

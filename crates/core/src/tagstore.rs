@@ -12,16 +12,24 @@
 //! [`hwsim::Sram`] on explicit cycles, and any slot carrying two
 //! accesses would fault the simulation.
 //!
-//! | cycle | [`TagStore::insert`]         | [`TagStore::pop_min`]  | [`TagStore::insert_and_pop`] |
-//! |-------|------------------------------|------------------------|------------------------------|
-//! | 0     | read free link (alloc)       | read next link (refill head register) | read next link (refill) |
-//! | 1     | read predecessor link        | —                      | read predecessor link        |
-//! | 2     | write predecessor link       | write freed link onto empty list | write predecessor link |
-//! | 3     | write new link               | —                      | write new link (reusing the freed slot) |
+//! | cycle | [`TagStore::insert`]         | [`TagStore::pop_min`]  | [`TagStore::insert_and_pop`] | [`TagStore::pop_max`] |
+//! |-------|------------------------------|------------------------|------------------------------|-----------------------|
+//! | 0     | read free link (alloc)       | read next link (refill head register) | read next link (refill) | — |
+//! | 1     | read predecessor link        | —                      | read predecessor link        | read tail's predecessor (checks it names the tail) |
+//! | 2     | write predecessor link       | write freed link onto empty list | write predecessor link | write predecessor (now the tail) |
+//! | 3     | write new link               | —                      | write new link (reusing the freed slot) | write freed tail onto empty list |
 //!
 //! The combined column is the paper's "simultaneous insert and pop"
 //! case: the freed head link is reused for the incoming tag, so the pair
-//! of operations still completes in one four-cycle slot.
+//! of operations still completes in one four-cycle slot. A `pop_max`
+//! that empties the list issues only the cycle-3 write.
+//!
+//! Beside the head register the store keeps a **tail register** and a
+//! **back-pointer mirror** (one predecessor address per link handed out),
+//! the state PIFO push-out hardware keeps so the tail and its
+//! predecessor are known without a list walk. Like the head register
+//! they live outside the modeled SRAM: never faulted, never charged, and
+//! updated from the links each operation already writes.
 
 use std::error::Error;
 use std::fmt;
@@ -32,10 +40,13 @@ use hwsim::{Clock, Cycle, ParityAlarm, PortKind, Sram, SramConfig, SramStats};
 use crate::geometry::Geometry;
 use crate::tag::{PacketRef, Tag};
 
-/// A structurally invalid link observed while reading the store in
-/// tolerant mode: the word at `addr` carried a next-pointer outside the
-/// configured capacity. The pointer is treated as NIL (the list is
-/// truncated there) instead of faulting the simulation.
+/// A structurally invalid link observed in tolerant mode, logged instead
+/// of faulting the simulation. Either the word at `addr` carried a
+/// next-pointer outside the configured capacity (the pointer is treated
+/// as NIL, truncating the list there), or the link chain disagreed with
+/// the store's registers: a head register live at zero occupancy or off
+/// the list the tail register knows, or a [`TagStore::pop_max`] whose
+/// tail predecessor at `addr` did not point at the tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct StoreCorruption {
     /// Address of the link word holding the bad pointer.
@@ -43,6 +54,9 @@ pub struct StoreCorruption {
     /// Cycle of the read that observed it.
     pub cycle: Cycle,
 }
+
+/// Back-pointer mirror entry of a link with no predecessor (the head).
+const NO_LINK: u32 = u32::MAX;
 
 /// Physical address of a link in the tag storage memory.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -239,7 +253,9 @@ impl MemoryKind {
 /// schedule. The
 /// head link's contents are mirrored in an architectural register, so
 /// [`TagStore::peek_min`] — the value feeding the WFQ virtual-time
-/// computation of paper eq. (1) — costs no memory access.
+/// computation of paper eq. (1) — costs no memory access. A tail
+/// register and a back-pointer mirror locate the list's other end, so
+/// [`TagStore::pop_max`] takes one slot and no walk.
 ///
 /// # Example
 ///
@@ -265,6 +281,14 @@ pub struct TagStore {
     schedule: [(usize, u64); 4],
     /// Head-of-sorted-list register: address plus mirrored link contents.
     head: Option<(LinkAddr, Link)>,
+    /// Tail register: address of the last (largest) link.
+    tail: Option<LinkAddr>,
+    /// Back-pointer mirror: `back[a]` is the address of the link before
+    /// `a` in the sorted list ([`NO_LINK`] at the head). One entry per
+    /// address the initialization counter has handed out, so it grows
+    /// with the links in use, like a paged SRAM. Entries of freed links
+    /// go stale and are rewritten when the link is reused.
+    back: Vec<u32>,
     /// Head of the empty list.
     empty_head: Option<LinkAddr>,
     /// Fig. 10 initialization counter: next never-used address.
@@ -325,6 +349,8 @@ impl TagStore {
             clock: Clock::new(),
             schedule,
             head: None,
+            tail: None,
+            back: Vec::new(),
             empty_head: None,
             init_counter: 0,
             len: 0,
@@ -478,48 +504,10 @@ impl TagStore {
         // Read slot 0: allocate (reads the empty list head if the counter
         // is exhausted).
         let addr = self.allocate(base)?;
-        let new_addr = addr;
-        match prev {
-            None => {
-                debug_assert!(
-                    self.tolerant || self.head.is_none_or(|(_, h)| tag <= h.tag),
-                    "head insert with {tag} above current head"
-                );
-                let link = Link {
-                    tag,
-                    payload,
-                    next: self.head.map(|(a, _)| a),
-                };
-                // Write slot 3: the new link.
-                self.write_slot(base, 3, new_addr, link);
-                self.head = Some((new_addr, link));
-            }
-            Some(prev_addr) => {
-                // Read slot 1: the predecessor.
-                let mut prev_link = self.read_slot(base, 1, prev_addr);
-                debug_assert!(
-                    self.tolerant || prev_link.tag <= tag,
-                    "insert of {tag} after larger {}",
-                    prev_link.tag
-                );
-                let new_link = Link {
-                    tag,
-                    payload,
-                    next: prev_link.next,
-                };
-                prev_link.next = Some(new_addr);
-                // Write slots 2 and 3: predecessor back, then new link.
-                self.write_slot(base, 2, prev_addr, prev_link);
-                self.write_slot(base, 3, new_addr, new_link);
-                if self.head.map(|(a, _)| a) == Some(prev_addr) {
-                    // Keep the head register's mirror coherent.
-                    self.head = Some((prev_addr, prev_link));
-                }
-            }
-        }
+        self.link_in(base, prev, addr, tag, payload);
         self.len += 1;
         self.clock.advance(self.slot_cycles());
-        Ok(new_addr)
+        Ok(addr)
     }
 
     /// Removes and returns the smallest tag, its packet reference, and
@@ -552,9 +540,9 @@ impl TagStore {
             return None;
         }
         // Read slot 0: refill the head register from the successor link.
-        self.head = link.next.map(|next| (next, self.read_slot(base, 0, next)));
+        self.refill_head(base, link.next);
         // Write slot 2: thread the freed link onto the empty list.
-        self.free_link(base, addr, link);
+        self.free_link(base, 2, addr, link);
         self.len -= 1;
         self.clock.advance(self.slot_cycles());
         Some((link.tag, link.payload, addr))
@@ -569,71 +557,77 @@ impl TagStore {
     ///
     /// This is the push-out primitive of programmable admission (Alcoz
     /// et al.): evict the lowest-priority queued packet to admit a
-    /// higher-priority arrival. The tail search walks the list through
-    /// the uncharged debug port — a modeling idealization standing in
-    /// for the tail register real PIFO push-out hardware maintains — and
-    /// the unlink itself is charged one ordinary slot (predecessor read,
-    /// predecessor write, freed-link write).
+    /// higher-priority arrival. The tail register names the victim and
+    /// the back-pointer mirror its predecessor, so the operation is one
+    /// ordinary slot with no list walk: read the predecessor (slot 1),
+    /// write it back as the new tail (slot 2), thread the freed tail
+    /// onto the empty list (slot 3). Emptying the list costs only the
+    /// slot-3 write. The victim's contents come from the head register
+    /// when it is the head, and otherwise through the uncharged debug
+    /// port, as the tag store's own bookkeeping rather than a datapath
+    /// read.
+    ///
+    /// The charged predecessor read doubles as a consistency check: its
+    /// next-pointer must name the tail. In tolerant mode a mismatch (an
+    /// upset pointer in the SRAM) is logged as a [`StoreCorruption`] and
+    /// the tail the mirror names is unlinked anyway. If an upset pointer
+    /// steered the head register off the list the mirror knows, the
+    /// mismatch is logged and the head is evicted instead. Either way the
+    /// operation is O(1) and makes progress.
     ///
     /// # Panics
     ///
-    /// Panics if the internal cycle schedule faults the SRAM model.
+    /// Panics if the internal cycle schedule faults the SRAM model, and
+    /// — outside tolerant mode — if the check above fails.
     #[allow(clippy::type_complexity)]
     pub fn pop_max(&mut self) -> Option<(Tag, PacketRef, LinkAddr, Option<(LinkAddr, Tag)>)> {
         let (head_addr, head_link) = self.head?;
         let base = self.clock.now();
-        // Uncharged tail search (see above), bounded by the occupancy
-        // counter: a list of `len` links has `len - 1` hops, so a walk
-        // still going past that bound is chasing a corrupted pointer
-        // cycle. Truncate there (tolerant) rather than walk forever.
-        let mut prev: Option<(LinkAddr, Link)> = None;
-        let mut cur = (head_addr, head_link);
-        let mut hops = self.len.saturating_sub(1);
-        while let Some(next) = cur.1.next {
-            if hops == 0 {
-                assert!(
-                    self.tolerant,
-                    "tag store tail walk exceeded occupancy (corrupted link chain)"
-                );
-                self.corruptions.push(StoreCorruption {
-                    addr: cur.0 .0,
-                    cycle: base,
-                });
-                cur.1.next = None;
-                break;
+        // A tail with no predecessor must be the head.
+        let tail = self
+            .tail
+            .map(|t| (t, self.back_of(t)))
+            .filter(|&(t, pred)| pred.is_some() || t == head_addr);
+        let Some((tail_addr, pred)) = tail.filter(|_| self.len > 0) else {
+            // Either the occupancy counter says empty (`pop_min` refuses
+            // the phantom head), or a refill read an upset next-pointer
+            // and steered the head register off the list the mirror
+            // knows. Serve the push-out from the head, which the
+            // datapath still follows.
+            if self.len > 0 {
+                self.note_corruption(head_addr, base);
             }
-            hops -= 1;
-            let link = self
-                .layout
-                .unpack(self.sram.peek(next.0 as usize).expect("valid link address"));
-            prev = Some(cur);
-            cur = (next, link);
-        }
-        let (tail_addr, tail_link) = cur;
-        let pred = match prev {
-            None => {
-                // The tail is the head: the list empties.
-                self.head = None;
-                None
-            }
-            Some((prev_addr, _)) => {
-                // Read slot 1: the predecessor (charged — the peek walk
-                // only located it); write slot 2: terminate the list.
-                let mut prev_link = self.read_slot(base, 1, prev_addr);
-                prev_link.next = None;
-                self.write_slot(base, 2, prev_addr, prev_link);
-                if self.head.map(|(a, _)| a) == Some(prev_addr) {
-                    // Keep the head register's mirror coherent.
-                    self.head = Some((prev_addr, prev_link));
-                }
-                Some((prev_addr, prev_link.tag))
-            }
+            return self
+                .pop_min()
+                .map(|(tag, payload, addr)| (tag, payload, addr, None));
         };
+        let tail_link = if tail_addr == head_addr {
+            head_link
+        } else {
+            self.peek_link(tail_addr)
+        };
+        let pred = pred.map(|prev_addr| {
+            // Read slot 1: the predecessor, whose next-pointer must name
+            // the tail; write slot 2: terminate the list there.
+            let mut prev_link = self.read_slot(base, 1, prev_addr);
+            if prev_link.next != Some(tail_addr) {
+                self.note_corruption(prev_addr, base);
+            }
+            prev_link.next = None;
+            self.write_slot(base, 2, prev_addr, prev_link);
+            if head_addr == prev_addr {
+                // Keep the head register's mirror coherent.
+                self.head = Some((prev_addr, prev_link));
+            }
+            (prev_addr, prev_link.tag)
+        });
         // Write slot 3: thread the freed tail onto the empty list.
-        let mut freed = tail_link;
-        freed.next = self.empty_head;
-        self.write_slot(base, 3, tail_addr, freed);
-        self.empty_head = Some(tail_addr);
+        self.free_link(base, 3, tail_addr, tail_link);
+        if tail_addr == head_addr {
+            // The tail was the head: the list empties.
+            self.head = None;
+        }
+        self.relink(pred.map(|(a, _)| a), None);
         self.len -= 1;
         self.clock.advance(self.slot_cycles());
         Some((tail_link.tag, tail_link.payload, tail_addr, pred))
@@ -669,54 +663,16 @@ impl TagStore {
         };
         let base = self.clock.now();
         // Read slot 0: refill the head register from the successor.
-        self.head = popped_link
-            .next
-            .map(|next| (next, self.read_slot(base, 0, next)));
+        self.refill_head(base, popped_link.next);
         // The freed link is reused directly — no empty-list traffic.
-        let new_addr = popped_addr;
-        // `prev` may be the link we just popped; the insert then lands at
+        // `prev` may be the link just popped; the insert then lands at
         // the head of the remaining list (the closest-match guarantee
         // makes the new tag smaller than every remaining tag).
-        let effective_prev = if prev == Some(popped_addr) {
-            None
-        } else {
-            prev
-        };
-        match effective_prev {
-            None => {
-                debug_assert!(
-                    self.tolerant || self.head.is_none_or(|(_, h)| tag <= h.tag),
-                    "head insert with {tag} above current head"
-                );
-                let link = Link {
-                    tag,
-                    payload,
-                    next: self.head.map(|(a, _)| a),
-                };
-                // Write slot 3: the new link.
-                self.write_slot(base, 3, new_addr, link);
-                self.head = Some((new_addr, link));
-            }
-            Some(prev_addr) => {
-                // Read slot 1: predecessor; write slots 2–3 follow.
-                let mut prev_link = self.read_slot(base, 1, prev_addr);
-                debug_assert!(self.tolerant || prev_link.tag <= tag);
-                let new_link = Link {
-                    tag,
-                    payload,
-                    next: prev_link.next,
-                };
-                prev_link.next = Some(new_addr);
-                self.write_slot(base, 2, prev_addr, prev_link);
-                self.write_slot(base, 3, new_addr, new_link);
-                if self.head.map(|(a, _)| a) == Some(prev_addr) {
-                    self.head = Some((prev_addr, prev_link));
-                }
-            }
-        }
+        let prev = prev.filter(|&a| a != popped_addr);
+        self.link_in(base, prev, popped_addr, tag, payload);
         self.clock.advance(self.slot_cycles());
         Ok((
-            new_addr,
+            popped_addr,
             Some((popped_link.tag, popped_link.payload, popped_addr)),
         ))
     }
@@ -732,31 +688,61 @@ impl TagStore {
     /// Walks the sorted list yielding each link's address alongside its
     /// contents, without cycle accounting — scrub ground truth (the
     /// translation-table audit rebuilds "most recent duplicate" pointers
-    /// from it), not a datapath walk.
+    /// from it), not a datapath walk. The walk stops after
+    /// [`TagStore::len`] links, so an upset next-pointer that closes a
+    /// cycle cannot make it run forever.
     pub fn iter_links(&self) -> impl Iterator<Item = (LinkAddr, Tag, PacketRef)> + '_ {
         let mut cursor = self.head.map(|(a, _)| a);
         std::iter::from_fn(move || {
             let addr = cursor?;
-            let link = self
-                .layout
-                .unpack(self.sram.peek(addr.0 as usize).expect("valid link address"));
+            let link = self.peek_link(addr);
             cursor = link.next;
             Some((addr, link.tag, link.payload))
         })
+        .take(self.len)
     }
 
     /// Walks the sorted list without cycle accounting — test/debug
-    /// inspection only.
+    /// inspection only. Bounded like [`TagStore::iter_links`].
     pub fn iter_sorted(&self) -> impl Iterator<Item = (Tag, PacketRef)> + '_ {
+        self.iter_links().map(|(_, tag, payload)| (tag, payload))
+    }
+
+    /// Checks the tail register and back-pointer mirror against the
+    /// links in SRAM: the list holds exactly [`TagStore::len`] links,
+    /// every link's back pointer names the link before it, and the tail
+    /// register names the last one. Walks the list without cycle
+    /// accounting — test inspection, not a datapath operation.
+    ///
+    /// # Errors
+    ///
+    /// Describes the first disagreement found.
+    pub fn check_tail_mirror(&self) -> Result<(), String> {
+        let mut prev = None;
         let mut cursor = self.head.map(|(a, _)| a);
-        std::iter::from_fn(move || {
-            let addr = cursor?;
-            let link = self
-                .layout
-                .unpack(self.sram.peek(addr.0 as usize).expect("valid link address"));
-            cursor = link.next;
-            Some((link.tag, link.payload))
-        })
+        for i in 0..self.len {
+            let Some(addr) = cursor else {
+                return Err(format!("list ends after {i} links, len is {}", self.len));
+            };
+            let back = self.back_of(addr);
+            if back != prev {
+                return Err(format!(
+                    "back pointer of {addr} is {back:?}, list says {prev:?}"
+                ));
+            }
+            prev = Some(addr);
+            cursor = self.peek_link(addr).next;
+        }
+        if let Some(addr) = cursor {
+            return Err(format!("list continues at {addr} past len {}", self.len));
+        }
+        if self.tail != prev {
+            return Err(format!(
+                "tail register is {:?}, list ends at {prev:?}",
+                self.tail
+            ));
+        }
+        Ok(())
     }
 
     /// Number of links currently on the empty list plus never-used
@@ -765,10 +751,17 @@ impl TagStore {
         self.capacity - self.len
     }
 
+    /// Reads a link through the uncharged debug port.
+    fn peek_link(&self, addr: LinkAddr) -> Link {
+        self.layout
+            .unpack(self.sram.peek(addr.0 as usize).expect("valid link address"))
+    }
+
     fn allocate(&mut self, base: Cycle) -> Result<LinkAddr, StoreFullError> {
         if (self.init_counter as usize) < self.capacity {
             let addr = LinkAddr(self.init_counter);
             self.init_counter += 1;
+            self.back.push(NO_LINK);
             return Ok(addr);
         }
         match self.empty_head {
@@ -784,10 +777,103 @@ impl TagStore {
         }
     }
 
-    fn free_link(&mut self, base: Cycle, addr: LinkAddr, mut link: Link) {
+    /// Writes the freed link at `addr` onto the empty list in write slot
+    /// `idx`.
+    fn free_link(&mut self, base: Cycle, idx: usize, addr: LinkAddr, mut link: Link) {
         link.next = self.empty_head;
-        self.write_slot(base, 2, addr, link);
+        self.write_slot(base, idx, addr, link);
         self.empty_head = Some(addr);
+    }
+
+    /// Read slot 0: refills the head register from `next`, the departing
+    /// head's successor.
+    fn refill_head(&mut self, base: Cycle, next: Option<LinkAddr>) {
+        self.head = next.map(|next| (next, self.read_slot(base, 0, next)));
+        self.relink(None, next);
+    }
+
+    /// Links a new tag into the list after `prev` (`None`: at the head),
+    /// storing it at `new_addr`: read slot 1 and write slot 2 update the
+    /// predecessor, write slot 3 stores the new link.
+    fn link_in(
+        &mut self,
+        base: Cycle,
+        prev: Option<LinkAddr>,
+        new_addr: LinkAddr,
+        tag: Tag,
+        payload: PacketRef,
+    ) {
+        let next = match prev {
+            None => {
+                debug_assert!(
+                    self.tolerant || self.head.is_none_or(|(_, h)| tag <= h.tag),
+                    "head insert with {tag} above current head"
+                );
+                let link = Link {
+                    tag,
+                    payload,
+                    next: self.head.map(|(a, _)| a),
+                };
+                self.write_slot(base, 3, new_addr, link);
+                self.head = Some((new_addr, link));
+                link.next
+            }
+            Some(prev_addr) => {
+                let mut prev_link = self.read_slot(base, 1, prev_addr);
+                debug_assert!(
+                    self.tolerant || prev_link.tag <= tag,
+                    "insert of {tag} after larger {}",
+                    prev_link.tag
+                );
+                let new_link = Link {
+                    tag,
+                    payload,
+                    next: prev_link.next,
+                };
+                prev_link.next = Some(new_addr);
+                self.write_slot(base, 2, prev_addr, prev_link);
+                self.write_slot(base, 3, new_addr, new_link);
+                if self.head.map(|(a, _)| a) == Some(prev_addr) {
+                    // Keep the head register's mirror coherent.
+                    self.head = Some((prev_addr, prev_link));
+                }
+                new_link.next
+            }
+        };
+        self.relink(prev, Some(new_addr));
+        self.relink(Some(new_addr), next);
+    }
+
+    /// Records in the tail register and back-pointer mirror that `next`
+    /// now follows `prev` (`None` on either side is the list's end).
+    fn relink(&mut self, prev: Option<LinkAddr>, next: Option<LinkAddr>) {
+        // An address never handed out (read back from an upset word) has
+        // no mirror entry and cannot be a live link: the list ends.
+        match next.and_then(|n| self.back.get_mut(n.0 as usize)) {
+            Some(back) => *back = prev.map_or(NO_LINK, |a| a.0),
+            None => self.tail = prev,
+        }
+    }
+
+    /// The link before `addr`, from the back-pointer mirror.
+    fn back_of(&self, addr: LinkAddr) -> Option<LinkAddr> {
+        self.back
+            .get(addr.0 as usize)
+            .filter(|&&a| a != NO_LINK)
+            .map(|&a| LinkAddr(a))
+    }
+
+    /// Logs a tail-register/back-pointer mismatch with the SRAM's links
+    /// (see [`TagStore::pop_max`]); outside tolerant mode it is a bug.
+    fn note_corruption(&mut self, addr: LinkAddr, cycle: Cycle) {
+        assert!(
+            self.tolerant,
+            "tag store tail mirror disagrees with the link chain at {addr}"
+        );
+        self.corruptions.push(StoreCorruption {
+            addr: addr.0,
+            cycle,
+        });
     }
 
     /// Issues slot access `idx` (0–1 reads, 2–3 writes) relative to the
@@ -1134,6 +1220,99 @@ mod tests {
         assert!(s.take_corruptions().is_empty());
         // The two damaged-word reads also tripped parity.
         assert!(!s.take_parity_alarms().is_empty());
+    }
+
+    #[test]
+    fn pop_max_takes_one_slot_without_a_walk() {
+        let mut s = store(16);
+        let mut prev = None;
+        for (i, t) in [10u32, 20, 30].iter().enumerate() {
+            prev = Some(s.insert(prev, Tag(*t), PacketRef(i as u32)).unwrap());
+        }
+        let a20 = LinkAddr(1);
+        for (tag, pred, reads, writes) in [
+            (30, Some((a20, Tag(20))), 1, 2),
+            (20, Some((LinkAddr(0), Tag(10))), 1, 2),
+            // The tail is the head: only the freed-link write.
+            (10, None, 0, 1),
+        ] {
+            let (before, cycles) = (s.sram_stats(), s.cycles());
+            let (t, _, _, p) = s.pop_max().unwrap();
+            assert_eq!((t, p), (Tag(tag), pred));
+            let after = s.sram_stats();
+            assert_eq!(after.reads - before.reads, reads);
+            assert_eq!(after.writes - before.writes, writes);
+            assert_eq!(s.cycles().since(cycles), 4);
+            assert_eq!(s.check_tail_mirror(), Ok(()));
+        }
+        assert_eq!(s.pop_max(), None);
+        assert!(s.take_corruptions().is_empty());
+    }
+
+    #[test]
+    fn pop_max_survives_a_pointer_cycle() {
+        // 10 -> 20 -> 30 -> 40 at links 0..3. Flip 30's next-pointer
+        // from link 3 to link 1 (in range): the chain now cycles
+        // 20 -> 30 -> 20 and never reaches 40.
+        let mut s = store(8);
+        s.set_tolerant(true);
+        let mut prev = None;
+        for (i, t) in [10u32, 20, 30, 40].iter().enumerate() {
+            prev = Some(s.insert(prev, Tag(*t), PacketRef(i as u32)).unwrap());
+        }
+        let ptr_shift = s.layout.tag_bits() + s.layout.payload_bits();
+        s.inject_fault(2, 0b10 << ptr_shift);
+        // The scrub walk stops at the occupancy count.
+        let walked: Vec<u32> = s.iter_sorted().map(|(t, _)| t.value()).collect();
+        assert_eq!(walked, vec![10, 20, 30, 20]);
+        let mut evicted = Vec::new();
+        while !s.is_empty() {
+            let (tag, _, _, _) = s.pop_max().expect("pop_max returns while len > 0");
+            evicted.push(tag.value());
+        }
+        // The mirror names the true tail each time; the slot-1 read of
+        // 30's damaged word exposes the mismatch.
+        assert_eq!(evicted, vec![40, 30, 20, 10]);
+        let c = s.take_corruptions();
+        assert_eq!(c.len(), 1);
+        assert_eq!(c[0].addr, 2);
+        assert_eq!(s.pop_max(), None);
+    }
+
+    #[test]
+    fn pop_max_serves_the_head_once_a_refill_leaves_the_mirror() {
+        // 5 -> 10 -> 20 at links 0..2. Flip 10's next-pointer from link
+        // 2 to link 6, which was never handed out: the second pop_min's
+        // refill steers the head register there, off the list the
+        // mirror knows, and the tail register goes dead.
+        let mut s = store(8);
+        s.set_tolerant(true);
+        let mut prev = None;
+        for (i, t) in [5u32, 10, 20].iter().enumerate() {
+            prev = Some(s.insert(prev, Tag(*t), PacketRef(i as u32)).unwrap());
+        }
+        let ptr_shift = s.layout.tag_bits() + s.layout.payload_bits();
+        s.inject_fault(1, 0b100 << ptr_shift);
+        s.pop_min().unwrap();
+        s.pop_min().unwrap();
+        assert_eq!(s.head_addr(), Some(LinkAddr(6)));
+        let (_, _, addr, pred) = s.pop_max().expect("served from the head");
+        assert_eq!((addr, pred), (LinkAddr(6), None));
+        assert!(s.is_empty());
+        let c = s.take_corruptions();
+        assert_eq!(c.iter().map(|c| c.addr).collect::<Vec<_>>(), vec![6]);
+    }
+
+    #[test]
+    #[should_panic(expected = "tail mirror disagrees")]
+    fn strict_pop_max_asserts_on_a_mismatch() {
+        let mut s = store(8);
+        let a10 = s.insert(None, Tag(10), PacketRef(0)).unwrap();
+        s.insert(Some(a10), Tag(20), PacketRef(1)).unwrap();
+        let ptr_shift = s.layout.tag_bits() + s.layout.payload_bits();
+        // 10's next-pointer: link 1 -> link 0.
+        s.inject_fault(0, 0b1 << ptr_shift);
+        s.pop_max();
     }
 
     #[test]

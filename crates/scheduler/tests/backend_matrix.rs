@@ -4,7 +4,7 @@
 //! never changes *what* the scheduler serves — only how fast the host
 //! executes it. These tests pin that promise at the scheduler level:
 //! the trie circuit (the paper's hardware), the FFS fast path (the
-//! Eiffel-style software sorter), and the binary-heap oracle must
+//! Eiffel-style software sorter), and the ordered-set oracle must
 //! produce **identical departure sequences** on every seeded workload,
 //! and identical per-operation outcomes (including errors) on adversarial
 //! interleaves that wrap the virtual clock and recycle trie sections.

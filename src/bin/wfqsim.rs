@@ -70,7 +70,7 @@ OPTIONS:
   --backend NAME     sorting engine behind the hw pipeline:
                      trie (the paper's sort/retrieve circuit) |
                      fastpath (FFS software sorter) | heap
-                     (binary-heap oracle) | pipelined (deep-pipelined
+                     (ordered-set oracle) | pipelined (deep-pipelined
                      trie, ~1 op/cycle); needs --scheduler hw
                      or --ports > 1                 (default: trie)
   --policy NAME      rank policy programmed into the hw pipeline
