@@ -19,11 +19,11 @@
 
 use std::process::ExitCode;
 
-use bench::parse_json_numbers;
+use telemetry::parse_flat_json;
 
 fn load(path: &str) -> Result<Vec<(String, f64)>, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    parse_json_numbers(&text).ok_or_else(|| format!("{path}: not a flat JSON number object"))
+    parse_flat_json(&text).ok_or_else(|| format!("{path}: not a flat JSON number object"))
 }
 
 fn main() -> ExitCode {

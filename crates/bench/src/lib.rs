@@ -109,8 +109,8 @@ pub fn print_bars(title: &str, series: &[(String, f64)], unit: &str) {
 
 /// Renders a flat JSON object of numeric metrics, keys in the given
 /// order. The machine-readable face of a bench run: CI commits one of
-/// these as a baseline and [`parse_json_numbers`] reads both sides back
-/// for the regression gate.
+/// these as a baseline and [`telemetry::parse_flat_json`] reads both
+/// sides back for the regression gate.
 pub fn json_object(pairs: &[(String, f64)]) -> String {
     let mut s = String::from("{\n");
     for (i, (k, v)) in pairs.iter().enumerate() {
@@ -126,25 +126,6 @@ pub fn json_object(pairs: &[(String, f64)]) -> String {
     s
 }
 
-/// Parses the flat `{"key": number, ...}` objects [`json_object`] emits
-/// (whitespace-insensitive; no nesting, no string values).
-///
-/// Returns `None` if the text is not such an object.
-pub fn parse_json_numbers(text: &str) -> Option<Vec<(String, f64)>> {
-    let body = text.trim().strip_prefix('{')?.strip_suffix('}')?.trim();
-    let mut out = Vec::new();
-    if body.is_empty() {
-        return Some(out);
-    }
-    for entry in body.split(',') {
-        let (key, value) = entry.split_once(':')?;
-        let key = key.trim().strip_prefix('"')?.strip_suffix('"')?;
-        let value: f64 = value.trim().parse().ok()?;
-        out.push((key.to_string(), value));
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -156,10 +137,7 @@ mod tests {
             ("speedup_ports_4".to_string(), 4.0),
         ];
         let text = json_object(&pairs);
-        assert_eq!(parse_json_numbers(&text), Some(pairs));
-        assert_eq!(parse_json_numbers("{}"), Some(vec![]));
-        assert_eq!(parse_json_numbers("not json"), None);
-        assert_eq!(parse_json_numbers("{\"a\": \"str\"}"), None);
+        assert_eq!(telemetry::parse_flat_json(&text), Some(pairs));
     }
 
     #[test]

@@ -17,10 +17,12 @@
 //!   against.
 //!
 //! The contract is deliberately narrow: insert a tag, pop the minimum,
-//! bulk-delete a wrapped section, and expose the occupancy and
-//! introspection hooks the scrubber and telemetry layers need. Backends
-//! without addressable hardware state reject fault attachment with a
-//! structured [`FaultAttachError`] instead of silently dropping faults.
+//! evict the maximum (push-out), bulk-delete a wrapped section, and
+//! expose the occupancy and introspection hooks the scrubber and
+//! telemetry layers need. Walks built from those verbs (checkpoint,
+//! flow migration) live in the scheduler. Backends without addressable
+//! hardware state reject fault attachment with a structured
+//! [`FaultAttachError`] instead of silently dropping faults.
 //!
 //! # Ordering contract
 //!
@@ -166,37 +168,6 @@ pub trait SortBackend {
     /// Aggregated instrumentation snapshot.
     fn stats(&self) -> CircuitStats;
 
-    /// Inserts a batch in order, stopping at the first error.
-    ///
-    /// Backends with cache-conscious layouts override this to amortize
-    /// per-call overhead; the default just loops.
-    ///
-    /// # Errors
-    ///
-    /// As for [`SortBackend::insert`]; earlier items stay inserted.
-    fn insert_batch(&mut self, items: &[(Tag, PacketRef)]) -> Result<(), SortError> {
-        for &(tag, payload) in items {
-            self.insert(tag, payload)?;
-        }
-        Ok(())
-    }
-
-    /// Pops up to `max` smallest tags into `out`, returning how many
-    /// were popped.
-    fn pop_batch(&mut self, max: usize, out: &mut Vec<(Tag, PacketRef)>) -> usize {
-        let mut popped = 0;
-        while popped < max {
-            match self.pop_min() {
-                Some(entry) => {
-                    out.push(entry);
-                    popped += 1;
-                }
-                None => break,
-            }
-        }
-        popped
-    }
-
     /// Enables or disables tolerant mode: invariant violations degrade
     /// and are logged instead of panicking. Inert for backends with no
     /// modeled corruption surface.
@@ -286,66 +257,6 @@ pub trait SortBackend {
     /// memory (the heap oracle, the FFS fastpath).
     fn resident_memory(&self) -> Option<ResidentMemory> {
         None
-    }
-
-    /// Removes **every** entry in service order (ascending tags, FIFO
-    /// among duplicates) — the checkpoint walk. The default drains via
-    /// [`SortBackend::pop_min`], so normal pop cycle accounting applies.
-    fn drain_entries(&mut self) -> Vec<(Tag, PacketRef)> {
-        let mut out = Vec::with_capacity(self.len());
-        while let Some(entry) = self.pop_min() {
-            out.push(entry);
-        }
-        out
-    }
-
-    /// Extracts the entries whose payload matches `belongs`, leaving
-    /// everything else stored in its original service order — the
-    /// migration primitive: one flow's queued tags leave the shard, the
-    /// rest keep being served.
-    ///
-    /// The default drains the whole backend and reinserts the
-    /// non-matching entries in pop order, which preserves both the
-    /// ascending-tag order and the FIFO tie-break among duplicates. It
-    /// therefore requires [`CleanupPolicy::Eager`] (under lazy cleanup
-    /// the freshly cleared markers would gate the reinserts as
-    /// [`SortError::BelowMinimum`]); live-migration callers run eager.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a non-matching entry cannot be reinserted — with eager
-    /// cleanup that indicates a backend contract violation, not an
-    /// expected runtime condition.
-    fn extract_flow(
-        &mut self,
-        belongs: &mut dyn FnMut(PacketRef) -> bool,
-    ) -> Vec<(Tag, PacketRef)> {
-        let mut keep = Vec::new();
-        let mut taken = Vec::new();
-        while let Some((tag, payload)) = self.pop_min() {
-            if belongs(payload) {
-                taken.push((tag, payload));
-            } else {
-                keep.push((tag, payload));
-            }
-        }
-        for &(tag, payload) in &keep {
-            self.insert(tag, payload)
-                .expect("reinserting a just-popped entry cannot fail under eager cleanup");
-        }
-        taken
-    }
-
-    /// Installs a migrated flow's entries (already translated onto this
-    /// backend's tag axis, ascending). The inverse of
-    /// [`SortBackend::extract_flow`], running while the shard keeps
-    /// serving — the default is just [`SortBackend::insert_batch`].
-    ///
-    /// # Errors
-    ///
-    /// As for [`SortBackend::insert`]; earlier entries stay installed.
-    fn install_flow(&mut self, entries: &[(Tag, PacketRef)]) -> Result<(), SortError> {
-        self.insert_batch(entries)
     }
 }
 
@@ -536,73 +447,5 @@ mod tests {
         // legal, where a lazy pop_min would have left it gating.
         SortBackend::insert(&mut b, Tag(5), PacketRef(1)).unwrap();
         assert_eq!(SortBackend::pop_min(&mut b), Some((Tag(5), PacketRef(1))));
-    }
-
-    #[test]
-    fn extract_flow_takes_one_flow_and_keeps_the_rest_in_order() {
-        let mut b = <SortRetrieveCircuit as SortBackend>::build(&spec());
-        // Even PacketRefs play flow A, odd ones flow B; duplicate tags
-        // probe the FIFO tie-break across the reinsert.
-        for (tag, pr) in [(7, 0), (3, 1), (7, 2), (3, 3), (9, 4)] {
-            SortBackend::insert(&mut b, Tag(tag), PacketRef(pr)).unwrap();
-        }
-        let taken = b.extract_flow(&mut |p: PacketRef| p.0 % 2 == 1);
-        assert_eq!(taken, vec![(Tag(3), PacketRef(1)), (Tag(3), PacketRef(3))]);
-        assert_eq!(SortBackend::len(&b), 3);
-        let rest = b.drain_entries();
-        assert_eq!(
-            rest,
-            vec![
-                (Tag(7), PacketRef(0)),
-                (Tag(7), PacketRef(2)),
-                (Tag(9), PacketRef(4)),
-            ],
-            "survivors must keep ascending order and FIFO among duplicates"
-        );
-    }
-
-    #[test]
-    fn install_flow_round_trips_an_extraction() {
-        let src_spec = spec();
-        let mut src = <SortRetrieveCircuit as SortBackend>::build(&src_spec);
-        let mut dst = <SortRetrieveCircuit as SortBackend>::build(&src_spec);
-        for (tag, pr) in [(5, 10), (2, 11), (5, 12)] {
-            SortBackend::insert(&mut src, Tag(tag), PacketRef(pr)).unwrap();
-        }
-        SortBackend::insert(&mut dst, Tag(1), PacketRef(99)).unwrap();
-        let taken = src.extract_flow(&mut |_| true);
-        dst.install_flow(&taken).unwrap();
-        assert!(SortBackend::is_empty(&src));
-        assert_eq!(
-            dst.drain_entries(),
-            vec![
-                (Tag(1), PacketRef(99)),
-                (Tag(2), PacketRef(11)),
-                (Tag(5), PacketRef(10)),
-                (Tag(5), PacketRef(12)),
-            ]
-        );
-    }
-
-    #[test]
-    fn batch_defaults_preserve_order() {
-        let mut b = <SortRetrieveCircuit as SortBackend>::build(&spec());
-        b.insert_batch(&[
-            (Tag(7), PacketRef(0)),
-            (Tag(3), PacketRef(1)),
-            (Tag(7), PacketRef(2)),
-        ])
-        .unwrap();
-        let mut out = Vec::new();
-        assert_eq!(b.pop_batch(8, &mut out), 3);
-        // Ascending tags, FIFO among the duplicate 7s.
-        assert_eq!(
-            out,
-            vec![
-                (Tag(3), PacketRef(1)),
-                (Tag(7), PacketRef(0)),
-                (Tag(7), PacketRef(2)),
-            ]
-        );
     }
 }

@@ -250,23 +250,6 @@ mod tests {
     }
 
     #[test]
-    fn extract_and_install_move_one_flow_between_heaps() {
-        let mut src = HeapSorter::build(&spec(CleanupPolicy::Eager));
-        let mut dst = HeapSorter::build(&spec(CleanupPolicy::Eager));
-        for (t, p) in [(9u32, 0u32), (4, 1), (9, 2), (4, 3)] {
-            src.insert(Tag(t), PacketRef(p)).unwrap();
-        }
-        let taken = src.extract_flow(&mut |p: PacketRef| p.index().is_multiple_of(2));
-        assert_eq!(taken, vec![(Tag(9), PacketRef(0)), (Tag(9), PacketRef(2))]);
-        dst.install_flow(&taken).unwrap();
-        assert_eq!(
-            src.drain_entries(),
-            vec![(Tag(4), PacketRef(1)), (Tag(4), PacketRef(3))]
-        );
-        assert_eq!(dst.drain_entries(), taken);
-    }
-
-    #[test]
     fn charges_one_slot_per_operation() {
         for (memory, slot) in [(MemoryKind::SinglePort, 4u64), (MemoryKind::QdrLike, 2)] {
             let mut h = HeapSorter::build(&BackendSpec {

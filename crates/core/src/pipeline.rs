@@ -660,27 +660,6 @@ mod tests {
     }
 
     #[test]
-    fn deep_pipeline_extracts_and_reinstalls_a_flow() {
-        let mut src = deep(64);
-        let mut dst = deep(64);
-        for (t, p) in [(40u32, 0u32), (12, 1), (40, 2), (55, 3)] {
-            src.insert(Tag(t), PacketRef(p)).unwrap();
-        }
-        let taken = src.extract_flow(&mut |p: PacketRef| p.index() == 1 || p.index() == 3);
-        assert_eq!(
-            taken,
-            vec![(Tag(12), PacketRef(1)), (Tag(55), PacketRef(3))]
-        );
-        dst.install_flow(&taken).unwrap();
-        // Survivors keep FIFO among the duplicate 40s.
-        assert_eq!(
-            src.drain_entries(),
-            vec![(Tag(40), PacketRef(0)), (Tag(40), PacketRef(2))]
-        );
-        assert_eq!(dst.drain_entries(), taken);
-    }
-
-    #[test]
     fn deep_pipeline_is_five_stages_at_paper_geometry() {
         let b = deep(64);
         // Three trie levels + translation + tag store.

@@ -336,36 +336,6 @@ struct Instruments {
 }
 
 impl Instruments {
-    fn disabled() -> Self {
-        Self {
-            shard: 0,
-            enqueued: Counter::disabled(),
-            dequeued: Counter::disabled(),
-            dropped: Counter::disabled(),
-            clamped: Counter::disabled(),
-            inversions: Counter::disabled(),
-            pushed_out: Counter::disabled(),
-            migrated_in: Counter::disabled(),
-            migrated_out: Counter::disabled(),
-            recycled_sections: Counter::disabled(),
-            recycled_markers: Counter::disabled(),
-            depth: Gauge::disabled(),
-            depth_peak: Gauge::disabled(),
-            sort_cycles: Histogram::disabled(),
-            occupancy: Histogram::disabled(),
-            faults_injected: Counter::disabled(),
-            faults_rejected: Counter::disabled(),
-            faults_detected: Counter::disabled(),
-            faults_repaired: Counter::disabled(),
-            silent_corruptions: Counter::disabled(),
-            scrub_sections_audited: Counter::disabled(),
-            scrub_words_checked: Counter::disabled(),
-            fault_detect_latency: Histogram::disabled(),
-            fault_repair_cost: Histogram::disabled(),
-            tracer: Tracer::disabled(),
-        }
-    }
-
     fn attach(tel: &Telemetry, shard: usize) -> Self {
         Self {
             shard,
@@ -620,7 +590,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             migrated_out: 0,
             global_flows: Vec::new(),
             faults,
-            instr: Instruments::disabled(),
+            instr: Instruments::attach(&Telemetry::disabled(), 0),
         }
     }
 
@@ -695,12 +665,6 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             migrated_in: self.migrated_in,
             migrated_out: self.migrated_out,
         }
-    }
-
-    /// The smallest queued tag, if any — the sorter's head register,
-    /// available every cycle for the eq. (1) feedback.
-    pub fn peek_min_tag(&self) -> Option<Tag> {
-        self.sorter.peek_min().map(|(t, _)| t)
     }
 
     /// The fault ledger's records, in injection order (empty when no
@@ -1129,7 +1093,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             // rebase — their ranks already live in a fixed window.
             self.quantizer.rebase(self.policy.rank_floor());
         }
-        let min_outstanding_tick = self.outstanding.iter().next().map(|&(t, _)| t);
+        let min_outstanding_tick = self.outstanding.first().map(|&(t, _)| t);
         let out = self.quantizer.quantize(finish, min_outstanding_tick);
         if out.clamped || !out.recycle.is_empty() {
             self.instr.clamped.inc(self.instr.shard, out.clamped as u64);
@@ -1202,8 +1166,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         let stamp = self.next_stamp;
         self.next_stamp += 1;
         let enq_cycle = self.sorter.cycles();
-        self.outstanding.insert((out.tick, stamp));
-        self.slot_info[slot.index() as usize] = Some((out.tick, stamp, finish, enq_cycle, full));
+        self.track((out.tick, stamp, finish, enq_cycle, full));
         if arrival {
             self.enqueued += 1;
             self.instr.enqueued.inc(self.instr.shard, 1);
@@ -1277,27 +1240,43 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             return None;
         }
         let (_, slot) = self.sorter.pop_max()?;
-        let entry = self
+        let (_, victim) = self.retire(slot)?;
+        self.pushed_out += 1;
+        self.instr.pushed_out.inc(self.instr.shard, 1);
+        self.note_drop(victim.flow.0);
+        Some(())
+    }
+
+    /// Starts tracking an entry just sorted in: its tick joins the
+    /// outstanding set and its sideband parks under its buffer slot.
+    /// The inverse of [`HwScheduler::retire`].
+    fn track(&mut self, info: SlotInfo) {
+        let (tick, stamp, .., full) = info;
+        self.outstanding.insert((tick, stamp));
+        self.slot_info[full.index() as usize] = Some(info);
+    }
+
+    /// Retires the entry the sorter just gave up from `slot` — served,
+    /// pushed out, or drained: takes its sideband, drops its tick from
+    /// the outstanding set, and releases its buffer slot. `None`, after
+    /// logging a pointer corruption, when the sorter named a slot the
+    /// buffer never issued or already retired.
+    fn retire(&mut self, slot: PacketRef) -> Option<(SlotInfo, Packet)> {
+        let Some(info) = self
             .slot_info
             .get_mut(slot.index() as usize)
-            .and_then(Option::take);
-        let Some((vtick, vstamp, _finish, _enq, full)) = entry else {
+            .and_then(Option::take)
+        else {
             self.note_pointer_corruption();
             return None;
         };
-        self.outstanding.remove(&(vtick, vstamp));
-        self.pushed_out += 1;
-        self.instr.pushed_out.inc(self.instr.shard, 1);
-        match self.buffer.try_release(full) {
-            Some(victim) => {
-                self.note_drop(victim.flow.0);
-                Some(())
-            }
-            None => {
-                self.note_pointer_corruption();
-                None
-            }
-        }
+        let (tick, stamp, .., full) = info;
+        self.outstanding.remove(&(tick, stamp));
+        let Some(pkt) = self.buffer.try_release(full) else {
+            self.note_pointer_corruption();
+            return None;
+        };
+        Some((info, pkt))
     }
 
     /// Marks `tag`'s top-level section as recently written, feeding the
@@ -1359,19 +1338,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                 .sort_cycles
                 .observe(self.instr.shard, self.sorter.cycles() - cycles_before);
             self.note_section_write(tag);
-            let entry = self
-                .slot_info
-                .get_mut(slot.index() as usize)
-                .and_then(Option::take);
-            let Some((tick, stamp, finish, enq_cycle, full)) = entry else {
-                // Corrupted packet pointer: the sorter served a slot the
-                // buffer never issued (or already retired).
-                self.note_pointer_corruption();
-                continue;
-            };
-            let Some(pkt) = self.buffer.try_release(full) else {
-                self.note_pointer_corruption();
-                self.outstanding.remove(&(tick, stamp));
+            let Some(((tick, _, finish, enq_cycle, full), pkt)) = self.retire(slot) else {
                 continue;
             };
             // The release ran the buffer's descriptor parity check; an
@@ -1395,7 +1362,6 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                     self.faults = Some(fs);
                 }
                 if alarms.contains(&full.index()) {
-                    self.outstanding.remove(&(tick, stamp));
                     self.note_drop(pkt.flow.0);
                     continue;
                 }
@@ -1404,20 +1370,14 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             // virtual time follows the served rank); a no-op for the
             // default WFQ policy.
             self.policy.on_service(&pkt, finish);
-            // An inversion means the linear sorter's head was not the
-            // logically smallest outstanding tick — the wrap-boundary
-            // overtaking that only WrapPolicy::Wrap permits.
-            let min_tick = self
-                .outstanding
-                .iter()
-                .next()
-                .map(|&(t, _)| t)
-                .unwrap_or(tick);
-            if tick > min_tick {
+            // An inversion means some other outstanding tick is
+            // logically smaller than the served one: the linear sorter's
+            // head overtook it at the wrap boundary, which only
+            // WrapPolicy::Wrap permits.
+            if self.outstanding.first().is_some_and(|&(t, _)| t < tick) {
                 self.inversions += 1;
                 self.instr.inversions.inc(self.instr.shard, 1);
             }
-            self.outstanding.remove(&(tick, stamp));
             self.dequeued += 1;
             self.instr.dequeued.inc(self.instr.shard, 1);
             self.note_depth();
@@ -1483,12 +1443,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             self.faults.is_none(),
             "checkpoint requires a fault-free scheduler (campaign state is not serializable)"
         );
-        assert_eq!(
-            self.cleanup,
-            CleanupPolicy::Eager,
-            "checkpoint requires CleanupPolicy::Eager (lazy markers would reject the reinstall)"
-        );
-        let entries = self.snapshot_entries();
+        let entries = self.drain(|_| true);
         let mut b = CheckpointBuilder::new();
         b.word(self.flows as u64);
         b.word(self.buffer.capacity() as u64);
@@ -1625,21 +1580,35 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         Ok(s)
     }
 
-    /// Drains every queued entry (ascending tag, FIFO among ties) with
-    /// its full sideband, releasing buffer slots and clearing the
-    /// outstanding-tick window. The queue is empty afterwards; pair
-    /// with [`HwScheduler::install_entries`] to put it back.
-    fn snapshot_entries(&mut self) -> Vec<CkptEntry> {
-        let mut out = Vec::with_capacity(self.sorter.len());
+    /// The one queue walk behind [`HwScheduler::checkpoint`] (takes
+    /// every packet) and [`HwScheduler::extract_flow`] (takes one
+    /// flow's): drains the sorter in service order, retires each entry
+    /// whose packet `take` selects, and reinserts the rest in pop order,
+    /// which keeps both the ascending order and the FIFO tie-break.
+    /// Returns the taken entries in service order with full sideband.
+    ///
+    /// # Panics
+    ///
+    /// Panics under [`CleanupPolicy::Lazy`]: the markers the drain
+    /// leaves behind would reject the reinserts as below-minimum.
+    fn drain(&mut self, mut take: impl FnMut(&Packet) -> bool) -> Vec<CkptEntry> {
+        assert_eq!(
+            self.cleanup,
+            CleanupPolicy::Eager,
+            "checkpoint and extract_flow require CleanupPolicy::Eager"
+        );
+        let mut kept = Vec::new();
+        let mut taken = Vec::new();
         while let Some((tag, slot)) = self.sorter.pop_min() {
-            let (tick, stamp, finish, enq_cycle, full) = self.slot_info[slot.index() as usize]
-                .take()
-                .expect("sorter entry has sideband");
-            let pkt = self
-                .buffer
-                .try_release(full)
-                .expect("sorter entry has a live buffer slot");
-            out.push(CkptEntry {
+            let sideband = self.slot_info.get(slot.index() as usize).copied().flatten();
+            if !sideband.is_some_and(|(.., full)| take(self.buffer.peek(full))) {
+                kept.push((tag, slot));
+                continue;
+            }
+            let ((tick, stamp, finish, enq_cycle, _), pkt) = self
+                .retire(slot)
+                .expect("drained entry has a live buffer slot");
+            taken.push(CkptEntry {
                 tag,
                 tick,
                 stamp,
@@ -1648,8 +1617,12 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                 pkt,
             });
         }
-        self.outstanding.clear();
-        out
+        for (tag, slot) in kept {
+            self.sorter
+                .insert(tag, slot)
+                .expect("reinserting a just-popped entry cannot fail under eager cleanup");
+        }
+        taken
     }
 
     /// Reinstalls snapshot entries in order: buffer slot, sorter tag,
@@ -1666,9 +1639,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             self.sorter
                 .insert(e.tag, slot)
                 .expect("checkpointed tag reinserts under eager cleanup");
-            self.outstanding.insert((e.tick, e.stamp));
-            self.slot_info[slot.index() as usize] =
-                Some((e.tick, e.stamp, e.finish, e.enq_cycle, full));
+            self.track((e.tick, e.stamp, e.finish, e.enq_cycle, full));
         }
     }
 
@@ -1683,7 +1654,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     ///
     /// Panics if `flow` is not configured, or under
     /// [`CleanupPolicy::Lazy`] (the survivor reinsert requires eager
-    /// marker cleanup — see [`SortBackend::extract_flow`]).
+    /// marker cleanup).
     pub fn extract_flow(&mut self, flow: FlowId) -> MigratedFlow {
         assert!(
             (flow.0 as usize) < self.flows,
@@ -1691,30 +1662,14 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             flow.0,
             self.flows
         );
-        assert_eq!(
-            self.cleanup,
-            CleanupPolicy::Eager,
-            "extract_flow requires CleanupPolicy::Eager"
-        );
-        let slot_info = &self.slot_info;
-        let buffer = &self.buffer;
-        let taken = self.sorter.extract_flow(&mut |slot: PacketRef| {
-            slot_info[slot.index() as usize]
-                .map(|(_, _, _, _, full)| buffer.peek(full).flow == flow)
-                .unwrap_or(false)
-        });
-        let mut entries = Vec::with_capacity(taken.len());
-        for (_, slot) in taken {
-            let (tick, stamp, finish, _enq_cycle, full) = self.slot_info[slot.index() as usize]
-                .take()
-                .expect("extracted entry has sideband");
-            let packet = self
-                .buffer
-                .try_release(full)
-                .expect("extracted entry has a live buffer slot");
-            self.outstanding.remove(&(tick, stamp));
-            entries.push(MigratedEntry { packet, finish });
-        }
+        let entries: Vec<MigratedEntry> = self
+            .drain(|pkt| pkt.flow == flow)
+            .into_iter()
+            .map(|e| MigratedEntry {
+                packet: e.pkt,
+                finish: e.finish,
+            })
+            .collect();
         self.migrated_out += entries.len() as u64;
         self.instr
             .migrated_out

@@ -1952,49 +1952,76 @@ mod tests {
         }
     }
 
-    #[test]
-    fn migrate_flow_moves_backlog_and_reroutes_later_enqueues() {
-        let fl = flows(8);
-        let mut fe = ShardedScheduler::with_placement(
+    /// One migration on backend `B`, returning the departure sequence
+    /// numbers, destination port first. Equal weights give the two neighbors that
+    /// stay behind identical tags, so the source's drain-and-reinsert
+    /// must keep their FIFO tie-break.
+    fn migrate_one_flow<B: SortBackend>() -> Vec<u64> {
+        let fl: Vec<FlowSpec> = (0..8)
+            .map(|i| FlowSpec::new(FlowId(i), 1.0, 1e6).size(SizeDist::Fixed(500)))
+            .collect();
+        let mut fe = ShardedScheduler::<B, WfqRank>::with_policy_port_rates_placement(
             &fl,
-            1e9,
-            2,
+            &[1e9, 1e9],
             SchedulerConfig::default(),
+            &WfqRank::default(),
             Placement::Dynamic,
         );
         let flow = FlowId(0);
         let from = fe.port_of(flow).unwrap();
         let to = 1 - from;
-        let neighbor = (1..8u32)
+        let neighbors: Vec<FlowId> = (1..8u32)
             .map(FlowId)
-            .find(|&f| fe.port_of(f) == Some(from))
-            .expect("another flow shares the source port");
+            .filter(|&f| fe.port_of(f) == Some(from))
+            .take(2)
+            .collect();
+        assert_eq!(neighbors.len(), 2, "two other flows share the source port");
         for i in 0..4 {
             fe.enqueue(pkt(i, flow.0, 0.0, 500)).unwrap();
+            fe.enqueue(pkt(100 + i, neighbors[0].0, 0.0, 500)).unwrap();
+            fe.enqueue(pkt(200 + i, neighbors[1].0, 0.0, 500)).unwrap();
         }
-        fe.enqueue(pkt(100, neighbor.0, 0.0, 500)).unwrap();
         let moved = fe.migrate_flow(flow, to).unwrap();
         assert_eq!(moved, 4);
         assert_eq!(fe.port_of(flow), Some(to), "ownership moved");
-        assert_eq!(fe.port_of(neighbor), Some(from), "the neighbor stayed");
+        assert_eq!(fe.port_of(neighbors[0]), Some(from), "the neighbor stayed");
         assert_eq!(fe.migrations(), 1);
-        assert_eq!(fe.len(), 5, "no packet lost in transit");
+        assert_eq!(fe.len(), 12, "no packet lost in transit");
         // Later arrivals follow the flow to its new port, behind the
         // migrated backlog.
         fe.enqueue(pkt(4, flow.0, 0.0, 500)).unwrap();
-        let mut seqs = Vec::new();
-        while let Some(p) = fe.dequeue_port(to) {
-            assert_eq!(p.flow, flow, "only the migrated flow lives here");
-            seqs.push(p.seq);
-        }
-        assert_eq!(seqs, vec![0, 1, 2, 3, 4], "per-flow order survived");
-        assert_eq!(fe.dequeue_port(from).unwrap().flow, neighbor);
+        let arrived: Vec<Packet> = std::iter::from_fn(|| fe.dequeue_port(to)).collect();
+        assert!(
+            arrived.iter().all(|p| p.flow == flow),
+            "only the migrated flow lives here"
+        );
+        let stayed: Vec<Packet> = std::iter::from_fn(|| fe.dequeue_port(from)).collect();
+        let departures: Vec<u64> = arrived.iter().chain(&stayed).map(|p| p.seq).collect();
+        assert_eq!(departures[..5], [0, 1, 2, 3, 4], "per-flow order survived");
+        assert_eq!(
+            departures[5..],
+            [100, 200, 101, 201, 102, 202, 103, 203],
+            "the drain kept the survivors' order and FIFO ties"
+        );
         let stats = fe.stats();
         assert_eq!(stats.aggregate.migrated_out, 4);
         assert_eq!(stats.aggregate.migrated_in, 4);
         // Migrating a flow onto the port it already owns is a no-op.
         assert_eq!(fe.migrate_flow(flow, to).unwrap(), 0);
         assert_eq!(fe.migrations(), 1);
+        departures
+    }
+
+    #[test]
+    fn migrate_flow_moves_backlog_and_reroutes_later_enqueues() {
+        let trie = migrate_one_flow::<SortRetrieveCircuit>();
+        assert_eq!(migrate_one_flow::<fastpath::FfsSorter>(), trie, "fastpath");
+        assert_eq!(migrate_one_flow::<tagsort::HeapSorter>(), trie, "heap");
+        assert_eq!(
+            migrate_one_flow::<tagsort::PipelinedSortBackend>(),
+            trie,
+            "pipelined"
+        );
     }
 
     #[test]

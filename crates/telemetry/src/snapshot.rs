@@ -351,6 +351,9 @@ mod tests {
         assert!(keys.contains(&"alpha_total"));
         assert!(keys.contains(&"zeta_port0"));
         assert!(keys.contains(&"hw_trie_reads"));
+        assert_eq!(parse_flat_json("{}"), Some(vec![]));
+        assert_eq!(parse_flat_json("not json"), None);
+        assert_eq!(parse_flat_json("{\"a\": \"str\"}"), None);
     }
 
     #[test]
