@@ -221,11 +221,11 @@ impl<B: SortBackend, E: Executor<B, AnyPolicy>> AnyFrontend<B, E> {
     fn finish(self) -> FrontendTail {
         match self {
             AnyFrontend::Single(mut s) => {
-                s.reconcile_faults();
+                let faults = s.reconcile_faults();
                 FrontendTail {
                     pushed_out: s.stats().pushed_out,
                     resident: s.resident_memory(),
-                    faults: s.fault_totals(),
+                    faults,
                     shard_balance: None,
                     migrations: 0,
                 }

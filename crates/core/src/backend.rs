@@ -18,11 +18,14 @@
 //!
 //! The contract is deliberately narrow: insert a tag, pop the minimum,
 //! evict the maximum (push-out), bulk-delete a wrapped section, and
-//! expose the occupancy and introspection hooks the scrubber and
-//! telemetry layers need. Walks built from those verbs (checkpoint,
-//! flow migration) live in the scheduler. Backends without addressable
-//! hardware state reject fault attachment with a structured
-//! [`FaultAttachError`] instead of silently dropping faults.
+//! expose the introspection hooks the fault and telemetry layers need.
+//! Walks built from those verbs (checkpoint, flow migration) live in
+//! the scheduler. Fault attribution lives in the backend: it reports
+//! [`Detection`]s and [`ScrubAudit`]s already mapped onto fault-ledger
+//! words, so the scheduler books them without knowing the structures.
+//! Backends without addressable hardware state reject fault attachment
+//! with a structured [`FaultAttachError`] instead of silently dropping
+//! faults.
 //!
 //! # Ordering contract
 //!
@@ -37,16 +40,12 @@
 //! it. Cross-check property tests in the scheduler crate and the CI
 //! conformance matrix hold all backends to this contract.
 
-use faultsim::{FaultAttachError, FaultComponent, FaultTarget};
-use hwsim::ParityAlarm;
+use faultsim::{Detection, FaultAttachError, FaultComponent, FaultTarget, ScrubAudit};
 
-use crate::circuit::{
-    CircuitStats, CleanupPolicy, IntegrityEvent, SectionScrub, SortError, SortRetrieveCircuit,
-    TranslationScrub,
-};
+use crate::circuit::{CircuitStats, CleanupPolicy, SortError, SortRetrieveCircuit};
 use crate::geometry::Geometry;
 use crate::tag::{PacketRef, Tag};
-use crate::tagstore::{MemoryKind, StoreCorruption};
+use crate::tagstore::MemoryKind;
 
 /// Everything needed to construct a sort backend.
 ///
@@ -90,8 +89,8 @@ pub struct ResidentMemory {
 /// See the module-level docs above for the ordering/wrap contract and the
 /// cross-checking story. Methods with default bodies are the
 /// introspection hooks hardware-modeled backends override; software
-/// backends inherit the inert defaults (no integrity events, no
-/// addressable fault state).
+/// backends inherit the inert defaults (no detections, no addressable
+/// fault state).
 pub trait SortBackend {
     /// Builds a fresh, empty backend from the spec.
     fn build(spec: &BackendSpec) -> Self
@@ -104,9 +103,6 @@ pub trait SortBackend {
 
     /// The tag geometry the backend was built with.
     fn geometry(&self) -> Geometry;
-
-    /// Maximum simultaneously stored tags.
-    fn capacity(&self) -> usize;
 
     /// Currently stored tags.
     fn len(&self) -> usize;
@@ -191,53 +187,18 @@ pub trait SortBackend {
     }
 
     /// Audits one top-level section against the backend's ground truth,
-    /// optionally repairing it. Backends without redundant occupancy
-    /// state report a trivially clean audit.
-    fn scrub_section(&mut self, section: u32, _repair: bool) -> SectionScrub {
-        SectionScrub {
-            section,
-            words_checked: 0,
-            mismatches: Vec::new(),
-            repaired_markers: 0,
-            repaired: false,
-        }
-    }
-
-    /// Audits one translation-table section against its running check
-    /// code, optionally repairing it (see
-    /// [`SortRetrieveCircuit::scrub_translation_section`]). Backends
-    /// without a translation table report a trivially clean audit.
-    fn scrub_translation(&mut self, section: u32, _repair: bool) -> TranslationScrub {
-        TranslationScrub {
-            section,
-            words_checked: 0,
-            crc_mismatch: false,
-            damaged_words: Vec::new(),
-            repaired_entries: 0,
-            repaired: false,
-        }
-    }
-
-    /// Drains the integrity violations logged in tolerant mode.
-    fn take_integrity_events(&mut self) -> Vec<IntegrityEvent> {
+    /// optionally repairing it. Returns one audit per memory checked,
+    /// in the order its damaged words should be claimed; backends
+    /// without redundant state audit nothing.
+    fn scrub_section(&mut self, _section: u32, _repair: bool) -> Vec<ScrubAudit> {
         Vec::new()
     }
 
-    /// Drains structural corruptions observed in the tag storage.
-    fn take_store_corruptions(&mut self) -> Vec<StoreCorruption> {
+    /// Drains the detections raised since the last call (parity alarms,
+    /// dangling links, dead-end searches), each attributed to the
+    /// fault-ledger word it implicates, in claim order.
+    fn take_detections(&mut self) -> Vec<Detection> {
         Vec::new()
-    }
-
-    /// Drains parity alarms raised by the modeled SRAM.
-    fn take_parity_alarms(&mut self) -> Vec<ParityAlarm> {
-        Vec::new()
-    }
-
-    /// Flattened fault-word index of occupancy node `(level, index)`,
-    /// for reconciling integrity events against a fault ledger. Backends
-    /// without an addressable occupancy array map everything to word 0.
-    fn trie_fault_word_index(&self, _level: u32, _index: u32) -> usize {
-        0
     }
 
     /// Switches an **empty** backend's off-chip state to lazily paged
@@ -276,10 +237,6 @@ impl SortBackend for SortRetrieveCircuit {
 
     fn geometry(&self) -> Geometry {
         self.geometry()
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity()
     }
 
     fn len(&self) -> usize {
@@ -333,28 +290,12 @@ impl SortBackend for SortRetrieveCircuit {
         Ok(self.fault_target_mut(component))
     }
 
-    fn scrub_section(&mut self, section: u32, repair: bool) -> SectionScrub {
+    fn scrub_section(&mut self, section: u32, repair: bool) -> Vec<ScrubAudit> {
         self.scrub_section(section, repair)
     }
 
-    fn scrub_translation(&mut self, section: u32, repair: bool) -> TranslationScrub {
-        self.scrub_translation_section(section, repair)
-    }
-
-    fn take_integrity_events(&mut self) -> Vec<IntegrityEvent> {
-        self.take_integrity_events()
-    }
-
-    fn take_store_corruptions(&mut self) -> Vec<StoreCorruption> {
-        self.take_store_corruptions()
-    }
-
-    fn take_parity_alarms(&mut self) -> Vec<ParityAlarm> {
-        self.take_parity_alarms()
-    }
-
-    fn trie_fault_word_index(&self, level: u32, index: u32) -> usize {
-        self.trie_fault_word_index(level, index)
+    fn take_detections(&mut self) -> Vec<Detection> {
+        self.take_detections()
     }
 
     fn set_paged(&mut self) -> bool {
@@ -384,7 +325,6 @@ mod tests {
     fn trie_builds_through_the_trait() {
         let mut b = <SortRetrieveCircuit as SortBackend>::build(&spec());
         assert_eq!(SortBackend::name(&b), "trie");
-        assert_eq!(SortBackend::capacity(&b), 64);
         SortBackend::insert(&mut b, Tag(9), PacketRef(1)).unwrap();
         SortBackend::insert(&mut b, Tag(4), PacketRef(2)).unwrap();
         assert_eq!(SortBackend::peek_min(&b), Some((Tag(4), PacketRef(2))));

@@ -88,10 +88,6 @@ impl SortBackend for HeapSorter {
         self.geometry
     }
 
-    fn capacity(&self) -> usize {
-        self.capacity
-    }
-
     fn len(&self) -> usize {
         self.entries.len()
     }

@@ -62,8 +62,8 @@ mod trie;
 pub use backend::{BackendSpec, ResidentMemory, SortBackend};
 pub use banking::BankModel;
 pub use circuit::{
-    CircuitStats, CleanupPolicy, IntegrityEvent, SectionScrub, SortError, SortRetrieveCircuit,
-    TranslationScrub, TrieMismatch, PAPER_CLOCK_HZ, PAPER_MEAN_PACKET_BYTES,
+    CircuitStats, CleanupPolicy, SortError, SortRetrieveCircuit, PAPER_CLOCK_HZ,
+    PAPER_MEAN_PACKET_BYTES,
 };
 pub use geometry::Geometry;
 pub use heap::HeapSorter;

@@ -27,16 +27,14 @@
 
 use std::collections::VecDeque;
 
-use faultsim::{FaultAttachError, FaultComponent, FaultTarget};
-use hwsim::{Clock, Cycle, ParityAlarm, PortArbiter};
+use faultsim::{Detection, FaultAttachError, FaultComponent, FaultTarget, ScrubAudit};
+use hwsim::{Clock, Cycle, PortArbiter};
 
 use crate::backend::{BackendSpec, ResidentMemory, SortBackend};
-use crate::circuit::{
-    CircuitStats, IntegrityEvent, SectionScrub, SortError, SortRetrieveCircuit, TranslationScrub,
-};
+use crate::circuit::{CircuitStats, SortError, SortRetrieveCircuit};
 use crate::geometry::Geometry;
 use crate::tag::{PacketRef, Tag};
-use crate::tagstore::{MemoryKind, StoreCorruption};
+use crate::tagstore::MemoryKind;
 
 /// Timing receipt for one pipelined operation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -465,10 +463,6 @@ impl SortBackend for PipelinedSortBackend {
         self.circuit.geometry()
     }
 
-    fn capacity(&self) -> usize {
-        self.circuit.capacity()
-    }
-
     fn len(&self) -> usize {
         self.circuit.len()
     }
@@ -529,28 +523,12 @@ impl SortBackend for PipelinedSortBackend {
         Ok(self.circuit.fault_target_mut(component))
     }
 
-    fn scrub_section(&mut self, section: u32, repair: bool) -> SectionScrub {
+    fn scrub_section(&mut self, section: u32, repair: bool) -> Vec<ScrubAudit> {
         self.circuit.scrub_section(section, repair)
     }
 
-    fn scrub_translation(&mut self, section: u32, repair: bool) -> TranslationScrub {
-        self.circuit.scrub_translation_section(section, repair)
-    }
-
-    fn take_integrity_events(&mut self) -> Vec<IntegrityEvent> {
-        self.circuit.take_integrity_events()
-    }
-
-    fn take_store_corruptions(&mut self) -> Vec<StoreCorruption> {
-        self.circuit.take_store_corruptions()
-    }
-
-    fn take_parity_alarms(&mut self) -> Vec<ParityAlarm> {
-        self.circuit.take_parity_alarms()
-    }
-
-    fn trie_fault_word_index(&self, level: u32, index: u32) -> usize {
-        self.circuit.trie_fault_word_index(level, index)
+    fn take_detections(&mut self) -> Vec<Detection> {
+        self.circuit.take_detections()
     }
 
     fn set_paged(&mut self) -> bool {

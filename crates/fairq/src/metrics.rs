@@ -213,6 +213,11 @@ pub fn pgps_delay_bound(sigma_bits: f64, g_bps: f64, lmax_bits: f64, link_bps: f
 /// The PGPS theorem (Parekh–Gallager; the property the paper cites as
 /// "WFQ ... approximates GPS within one packet transmission time") bounds
 /// this by `L_max / R` for WFQ.
+///
+/// The maximum runs over *delivered* packets only: a packet without a
+/// departure (dropped at admission, or lost to a detected fault) has no
+/// finish time to compare. The GPS reference still serves the whole
+/// trace. Negative infinity when nothing was delivered.
 pub fn gps_lag(
     flows: &[FlowSpec],
     trace: &[Packet],
@@ -234,7 +239,7 @@ pub fn gps_lag(
     trace
         .iter()
         .zip(&gps)
-        .map(|(p, g)| finish_of[&p.seq].seconds() - g.seconds())
+        .filter_map(|(p, g)| Some(finish_of.get(&p.seq)?.seconds() - g.seconds()))
         .fold(f64::NEG_INFINITY, f64::max)
 }
 
@@ -365,6 +370,27 @@ mod tests {
             "PGPS bound violated: lag {lag} > {}",
             lmax / rate
         );
+    }
+
+    /// A packet lost before departure (a fault drop, say) is left out
+    /// of the lateness maximum instead of aborting the measurement.
+    #[test]
+    fn gps_lag_skips_packets_that_never_departed() {
+        let flows = flows2();
+        let trace = vec![
+            pkt(0, 0, 0.0, 125),
+            pkt(1, 1, 0.0, 125),
+            pkt(2, 0, 0.0, 125),
+        ];
+        let rate = 1e6;
+        let mut deps = LinkSim::new(rate, Wfq::new(&flows, rate)).run(&trace);
+        let full = gps_lag(&flows, &trace, &deps, rate);
+        let lost = deps.iter().position(|d| d.packet.seq == 2).unwrap();
+        deps.remove(lost);
+        let partial = gps_lag(&flows, &trace, &deps, rate);
+        assert!(partial.is_finite());
+        assert!(partial <= full);
+        assert_eq!(gps_lag(&flows, &trace, &[], rate), f64::NEG_INFINITY);
     }
 
     /// The full Parekh–Gallager guarantee: a shaped flow's measured

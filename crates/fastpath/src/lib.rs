@@ -24,11 +24,11 @@
 //!   [`FaultComponent::Trie`]); there is no translation table or
 //!   external SRAM to corrupt, so those components are rejected with a
 //!   structured [`FaultAttachError`]. In tolerant mode, corrupted
-//!   occupancy words degrade to logged [`IntegrityEvent`]s and
-//!   self-healing searches instead of panics, and
-//!   [`FfsSorter::scrub_section`] audits occupancy words against the
-//!   buckets' ground truth exactly as the circuit's scrubber audits the
-//!   trie against the translation table.
+//!   occupancy words degrade to logged [`Detection`]s and self-healing
+//!   searches instead of panics, and [`FfsSorter::scrub_section`]
+//!   audits occupancy words against the buckets' ground truth exactly
+//!   as the circuit's scrubber audits the trie against the translation
+//!   table.
 //!
 //! The layout is cache-conscious: the hot pop path touches one `u64`
 //! per hierarchy level (at the paper's 12-bit geometry: two words) plus
@@ -46,11 +46,13 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use faultsim::{FaultAttachError, FaultComponent, FaultTarget};
+use faultsim::{
+    Detection, DetectionKind, FaultAttachError, FaultComponent, FaultTarget, ScrubAudit,
+    ScrubRepair,
+};
 use hwsim::{AccessStats, SramStats};
 use tagsort::{
-    BackendSpec, CircuitStats, CleanupPolicy, Geometry, IntegrityEvent, PacketRef, SectionScrub,
-    SortBackend, SortError, Tag, TrieMismatch,
+    BackendSpec, CircuitStats, CleanupPolicy, Geometry, PacketRef, SortBackend, SortError, Tag,
 };
 
 /// Sentinel for "no node" in bucket heads/tails and node links.
@@ -137,7 +139,9 @@ pub struct FfsSorter {
     recycled_sections: u64,
     recycled_markers: u64,
     tolerant: bool,
-    integrity_log: Vec<IntegrityEvent>,
+    /// `(component, ledger word)` of each symptom logged in tolerant
+    /// mode; stamped with a cycle when drained.
+    integrity_log: Vec<(FaultComponent, usize)>,
     occ_stats: AccessStats,
     bucket_stats: AccessStats,
     sram: SramStats,
@@ -368,9 +372,7 @@ impl FfsSorter {
                         self.tolerant,
                         "occupancy bit set for empty bucket {tag} (corrupted state?)"
                     );
-                    self.integrity_log.push(IntegrityEvent::MissingTranslation {
-                        tag: Tag(tag as u32),
-                    });
+                    self.integrity_log.push((FaultComponent::Translation, tag));
                     Self::clear_bit(&mut self.occ, tag);
                 }
                 Descent::DeadEnd { level, index } => {
@@ -380,8 +382,8 @@ impl FfsSorter {
                         self.tolerant,
                         "occupancy dead end at level {level} word {index} (corrupted state?)"
                     );
-                    self.integrity_log
-                        .push(IntegrityEvent::TrieDeadEnd { level, index });
+                    let word = self.flat_offsets[level as usize] + index as usize;
+                    self.integrity_log.push((FaultComponent::Trie, word));
                     if level == 0 {
                         // Hidden occupancy: heal from ground truth by
                         // re-marking the true minimum's path.
@@ -473,10 +475,6 @@ impl SortBackend for FfsSorter {
 
     fn geometry(&self) -> Geometry {
         self.geometry
-    }
-
-    fn capacity(&self) -> usize {
-        self.capacity
     }
 
     fn len(&self) -> usize {
@@ -631,7 +629,7 @@ impl SortBackend for FfsSorter {
         }
     }
 
-    fn scrub_section(&mut self, section: u32, repair: bool) -> SectionScrub {
+    fn scrub_section(&mut self, section: u32, repair: bool) -> Vec<ScrubAudit> {
         assert!(
             section < self.geometry.sections(),
             "section {section} out of range"
@@ -689,24 +687,16 @@ impl SortBackend for FfsSorter {
             }
             expected[level] = (plo, words);
         }
-        let mut mismatches = Vec::new();
+        let mut damaged = Vec::new();
         for (level, (wlo, words)) in expected.iter().enumerate() {
             for (k, &want) in words.iter().enumerate() {
                 words_checked += 1;
-                let index = wlo + k;
-                let found = self.occ[level][index];
-                if found != want {
-                    mismatches.push(TrieMismatch {
-                        level: level as u32,
-                        index: index as u32,
-                        flat: self.flat_offsets[level] + index,
-                        expected: want,
-                        found,
-                    });
+                if self.occ[level][wlo + k] != want {
+                    damaged.push(Some(self.flat_offsets[level] + wlo + k));
                 }
             }
         }
-        let run_repair = repair && !mismatches.is_empty();
+        let run_repair = repair && !damaged.is_empty();
         let mut repaired_markers = 0u64;
         if run_repair {
             for (level, (wlo, words)) in expected.iter().enumerate() {
@@ -724,22 +714,31 @@ impl SortBackend for FfsSorter {
             }
             debug_assert_eq!(repaired_markers, live_markers);
         }
-        SectionScrub {
-            section,
+        // Repair cost as the circuit models it: the audit reads plus one
+        // insertion pass over the trie's levels per restored marker.
+        let repair = run_repair.then(|| ScrubRepair {
+            cost: words_checked + repaired_markers * u64::from(self.geometry.levels()),
+            units: repaired_markers,
+        });
+        vec![ScrubAudit {
+            component: FaultComponent::Trie,
             words_checked,
-            mismatches,
-            repaired_markers,
-            repaired: run_repair,
-        }
+            damaged,
+            repair,
+        }]
     }
 
-    fn take_integrity_events(&mut self) -> Vec<IntegrityEvent> {
-        std::mem::take(&mut self.integrity_log)
-    }
-
-    fn trie_fault_word_index(&self, level: u32, index: u32) -> usize {
-        let level = (level as usize).min(self.depth() - 1);
-        self.flat_offsets[level] + index as usize
+    fn take_detections(&mut self) -> Vec<Detection> {
+        let now = self.cycles;
+        self.integrity_log
+            .drain(..)
+            .map(|(component, word)| Detection {
+                component,
+                word: Some(word),
+                cycle: now,
+                kind: DetectionKind::Structural,
+            })
+            .collect()
     }
 }
 
@@ -898,10 +897,14 @@ mod tests {
         // The pop detects the lie, logs it, heals, and serves the real
         // minimum.
         assert_eq!(s.pop_min(), Some((Tag(3), PacketRef(1))));
-        let events = s.take_integrity_events();
         assert_eq!(
-            events,
-            vec![IntegrityEvent::MissingTranslation { tag: Tag(0) }]
+            s.take_detections(),
+            vec![Detection {
+                component: FaultComponent::Translation,
+                word: Some(0),
+                cycle: s.cycles(),
+                kind: DetectionKind::Structural,
+            }]
         );
     }
 
@@ -917,11 +920,13 @@ mod tests {
             target.inject_fault(0, 1);
         }
         assert_eq!(s.pop_min(), Some((Tag(100), PacketRef(1))));
-        let events = s.take_integrity_events();
-        assert_eq!(
-            events,
-            vec![IntegrityEvent::TrieDeadEnd { level: 1, index: 0 }]
-        );
+        // Leaf word 0 sits right after the root word.
+        let words: Vec<_> = s
+            .take_detections()
+            .iter()
+            .map(|d| (d.component, d.word))
+            .collect();
+        assert_eq!(words, vec![(FaultComponent::Trie, Some(1))]);
     }
 
     #[test]
@@ -937,13 +942,11 @@ mod tests {
             target.inject_fault(0, root);
         }
         assert_eq!(s.pop_min(), Some((Tag(100), PacketRef(1))));
-        let events = s.take_integrity_events();
-        assert!(
-            matches!(
-                events[0],
-                IntegrityEvent::TrieDeadEnd { level: 0, index: 0 }
-            ),
-            "expected a root dead end, got {events:?}"
+        let detections = s.take_detections();
+        assert_eq!(
+            (detections[0].component, detections[0].word),
+            (FaultComponent::Trie, Some(0)),
+            "expected a root dead end, got {detections:?}"
         );
     }
 
@@ -954,21 +957,22 @@ mod tests {
             s.insert(Tag(t), PacketRef(t)).unwrap();
         }
         // Clean scrub first.
-        let clean = s.scrub_section(0, false);
-        assert!(clean.mismatches.is_empty());
+        let [clean] = &s.scrub_section(0, false)[..] else {
+            panic!("the FFS sorter audits one memory");
+        };
+        assert!(clean.damaged.is_empty());
         assert!(clean.words_checked > 0);
         // Corrupt leaf word 0 (tags 0..64, section 0 spans tags 0..256).
         {
             let target = s.fault_target_mut(FaultComponent::Trie).unwrap();
             target.inject_fault(1, 0b1000);
         }
-        let audit = s.scrub_section(0, true);
-        assert_eq!(audit.mismatches.len(), 1);
-        assert_eq!(audit.mismatches[0].flat, 1);
-        assert!(audit.repaired);
-        assert_eq!(audit.repaired_markers, 2, "tags 5 and 6 live in section 0");
+        let audit = s.scrub_section(0, true).remove(0);
+        assert_eq!(audit.damaged, vec![Some(1)]);
+        let repair = audit.repair.expect("a damaged section is repaired");
+        assert_eq!(repair.units, 2, "tags 5 and 6 live in section 0");
         // Post-repair the section audits clean and service is intact.
-        assert!(s.scrub_section(0, false).mismatches.is_empty());
+        assert!(s.scrub_section(0, false)[0].damaged.is_empty());
         assert_eq!(
             drain(&mut s),
             vec![(5, 5), (6, 6), (300, 300)],

@@ -19,6 +19,9 @@
 //!   fail-fast, detect-and-count (serve on, degraded but observable),
 //!   or scrub-and-repair (rebuild trie sections from the translation
 //!   table's ground truth).
+//! * [`Detection`] / [`ScrubAudit`] — damage as a structure reports it:
+//!   already attributed to ledger words, so the scheduler books every
+//!   alarm and audit the same way.
 //! * [`FaultLedger`] — the per-run record of every injected fault and
 //!   its fate (detected by parity / scrub / structural check, repaired,
 //!   or silent), from which the reliability counters and the
@@ -26,7 +29,8 @@
 //!
 //! The crate is deliberately free of scheduler knowledge: it produces
 //! plans and keeps books. Detection and repair live with the structures
-//! themselves (`tagsort`, `hwsim`) and the scheduler that drives them.
+//! themselves (`tagsort`, `hwsim`); the scheduler only claims what they
+//! report.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -490,6 +494,48 @@ impl DetectionKind {
     }
 }
 
+/// One fault detection, attributed to a ledger word and ready to
+/// [`claim`](FaultLedger::claim).
+///
+/// Sort backends translate their own alarms (parity, dangling links,
+/// dead-end descents) into detections, so the scheduler books every
+/// one the same way without knowing which structure raised it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Detection {
+    /// Component the damage was found in.
+    pub component: FaultComponent,
+    /// Word within the component's [`FaultTarget`] space; `None` claims
+    /// by component alone.
+    pub word: Option<usize>,
+    /// Cycle the damage was noticed at.
+    pub cycle: u64,
+    /// The mechanism that noticed it.
+    pub kind: DetectionKind,
+}
+
+/// The audit of one memory during a section scrub.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ScrubAudit {
+    /// The audited memory.
+    pub component: FaultComponent,
+    /// Words read (the audit's modeled cost).
+    pub words_checked: u64,
+    /// Damaged ledger words, in claim order; `None` is a claim by
+    /// component alone (the damage was seen but not located).
+    pub damaged: Vec<Option<usize>>,
+    /// The repair, when one ran.
+    pub repair: Option<ScrubRepair>,
+}
+
+/// What a scrub repair did, as its memory modeled it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct ScrubRepair {
+    /// Modeled cost: the audit reads plus the repair's writes.
+    pub cost: u64,
+    /// Units restored (translation entries or trie markers).
+    pub units: u64,
+}
+
 /// The full life of one injected fault.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct FaultRecord {
@@ -590,25 +636,20 @@ impl FaultLedger {
         self.injected() - self.detected()
     }
 
-    /// Marks the first matching undetected record as detected; `word =
-    /// None` matches any word of the component (structural detections
-    /// often know what broke but not where). Returns the claimed record's
-    /// index, or `None` if the detection matches no outstanding fault
-    /// (a re-detection, or damage outside the modeled plan).
-    pub fn claim(
-        &mut self,
-        component: FaultComponent,
-        word: Option<usize>,
-        cycle: u64,
-        kind: DetectionKind,
-    ) -> Option<usize> {
+    /// Marks the first undetected record matching `detection` as
+    /// detected; a `None` word matches any word of the component
+    /// (structural detections often know what broke but not where).
+    /// Returns the claimed record's index, or `None` if the detection
+    /// matches no outstanding fault (a re-detection, or damage outside
+    /// the modeled plan).
+    pub fn claim(&mut self, detection: Detection) -> Option<usize> {
         let idx = self.records.iter().position(|r| {
-            r.component == component
+            r.component == detection.component
                 && r.detected_cycle.is_none()
-                && word.is_none_or(|w| r.word == w)
+                && detection.word.is_none_or(|w| r.word == w)
         })?;
-        self.records[idx].detected_cycle = Some(cycle);
-        self.records[idx].detected_by = Some(kind);
+        self.records[idx].detected_cycle = Some(detection.cycle);
+        self.records[idx].detected_by = Some(detection.kind);
         Some(idx)
     }
 
@@ -619,16 +660,6 @@ impl FaultLedger {
                 r.repaired_cycle = Some(cycle);
             }
         }
-    }
-
-    /// Indices of records matching `pred` (repair attribution sweeps).
-    pub fn find_all(&self, mut pred: impl FnMut(&FaultRecord) -> bool) -> Vec<usize> {
-        self.records
-            .iter()
-            .enumerate()
-            .filter(|(_, r)| pred(r))
-            .map(|(i, _)| i)
-            .collect()
     }
 }
 
@@ -820,20 +851,24 @@ mod tests {
         l.push(record(FaultComponent::Trie, 5));
         l.push(record(FaultComponent::TagStore, 9));
         // Exact-word claim takes the first undetected match only.
-        let a = l.claim(FaultComponent::Trie, Some(5), 40, DetectionKind::Scrub);
-        assert_eq!(a, Some(0));
-        let b = l.claim(FaultComponent::Trie, Some(5), 44, DetectionKind::Scrub);
-        assert_eq!(b, Some(1));
+        let scrub = |cycle| Detection {
+            component: FaultComponent::Trie,
+            word: Some(5),
+            cycle,
+            kind: DetectionKind::Scrub,
+        };
+        assert_eq!(l.claim(scrub(40)), Some(0));
+        assert_eq!(l.claim(scrub(44)), Some(1));
         // Third claim on the same word finds nothing outstanding.
-        assert_eq!(
-            l.claim(FaultComponent::Trie, Some(5), 48, DetectionKind::Scrub),
-            None
-        );
+        assert_eq!(l.claim(scrub(48)), None);
         // Any-word claim picks up the tag-store record.
-        assert_eq!(
-            l.claim(FaultComponent::TagStore, None, 50, DetectionKind::Parity),
-            Some(2)
-        );
+        let parity = Detection {
+            component: FaultComponent::TagStore,
+            word: None,
+            cycle: 50,
+            kind: DetectionKind::Parity,
+        };
+        assert_eq!(l.claim(parity), Some(2));
         assert_eq!(l.injected(), 3);
         assert_eq!(l.detected(), 3);
         assert_eq!(l.silent(), 0);

@@ -6,13 +6,13 @@ use std::fmt;
 
 use fairq::{GpsVirtualClock, RankPolicy, VirtualTime, WfqRank};
 use faultsim::{
-    DetectionKind, FaultAttachError, FaultComponent, FaultConfig, FaultLedger, FaultPlan,
-    FaultPolicy, FaultRecord, FaultTarget, ScrubOrder,
+    Detection, DetectionKind, FaultAttachError, FaultComponent, FaultConfig, FaultLedger,
+    FaultPlan, FaultPolicy, FaultRecord, FaultTarget, ScrubOrder,
 };
 use statesync::{Checkpoint, CheckpointBuilder, VClockXlat};
 use tagsort::{
-    BackendSpec, CircuitStats, CleanupPolicy, Geometry, IntegrityEvent, MemoryKind, PacketRef,
-    ResidentMemory, SortBackend, SortError, SortRetrieveCircuit, Tag,
+    BackendSpec, CircuitStats, CleanupPolicy, Geometry, MemoryKind, PacketRef, ResidentMemory,
+    SortBackend, SortError, SortRetrieveCircuit, Tag,
 };
 use telemetry::{Counter, EventKind, Gauge, GaugeMerge, Histogram, Snapshot, Telemetry, Tracer};
 use traffic::{FlowId, FlowSpec, Packet, Time};
@@ -682,12 +682,6 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         self.faults.as_ref().map_or(&[], |f| &f.rejected)
     }
 
-    /// The sorting backend's self-reported name (`"trie"`,
-    /// `"fastpath"`, `"heap"`, ...).
-    pub fn backend_name(&self) -> &'static str {
-        self.sorter.name()
-    }
-
     /// Switches the sorter's off-chip state to lazily paged allocation
     /// (see [`SortBackend::set_paged`]). Call before the first enqueue;
     /// returns `false` for backends without paged storage, which simply
@@ -717,9 +711,10 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
 
     /// End-of-run fault accounting: sweeps any outstanding detections,
     /// then folds every never-detected fault into the
-    /// `silent_corruptions` counter. Idempotent; a no-op without a
-    /// fault campaign.
-    pub fn reconcile_faults(&mut self) {
+    /// `silent_corruptions` counter. Returns the
+    /// [`fault_totals`](Self::fault_totals). Idempotent; all zeros
+    /// without a fault campaign.
+    pub fn reconcile_faults(&mut self) -> (u64, u64, u64, u64) {
         self.fault_sweep();
         if let Some(fs) = self.faults.as_mut() {
             if !fs.reconciled {
@@ -728,108 +723,59 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
                 self.instr.silent_corruptions.inc(self.instr.shard, silent);
             }
         }
+        self.fault_totals()
     }
 
     /// Records one detection against the ledger: claims the first
     /// matching undetected fault (counting it and stamping its latency)
-    /// or emits an unattributed `FaultDetect` event. Returns the claimed
-    /// record index. Panics under [`FaultPolicy::FailFast`].
-    fn note_detection(
-        &mut self,
-        fs: &mut FaultState,
-        component: FaultComponent,
-        word: Option<usize>,
-        cycle: u64,
-        kind: DetectionKind,
-    ) -> Option<usize> {
-        let word_arg = word.map_or(u64::MAX, |w| w as u64);
-        let claimed = fs.ledger.claim(component, word, cycle, kind);
-        match claimed {
-            Some(idx) => {
-                self.instr.faults_detected.inc(self.instr.shard, 1);
-                let latency = cycle.saturating_sub(fs.ledger.records()[idx].injected_cycle);
-                self.instr
-                    .fault_detect_latency
-                    .observe(self.instr.shard, latency);
-                self.instr.tracer.emit(
-                    self.instr.shard,
-                    cycle,
-                    EventKind::FaultDetect,
-                    idx as u64,
-                    word_arg,
-                );
-            }
-            None => {
-                // A re-detection of an already-claimed fault, or damage
-                // outside the modeled plan: traced, not counted.
-                self.instr.tracer.emit(
-                    self.instr.shard,
-                    cycle,
-                    EventKind::FaultDetect,
-                    u64::MAX,
-                    word_arg,
-                );
-            }
+    /// and traces a `FaultDetect` event, unattributed when nothing
+    /// matched. Returns the claimed record index. Panics under
+    /// [`FaultPolicy::FailFast`].
+    fn note_detection(&mut self, fs: &mut FaultState, detection: Detection) -> Option<usize> {
+        let claimed = fs.ledger.claim(detection);
+        if let Some(idx) = claimed {
+            self.instr.faults_detected.inc(self.instr.shard, 1);
+            let injected = fs.ledger.records()[idx].injected_cycle;
+            self.instr
+                .fault_detect_latency
+                .observe(self.instr.shard, detection.cycle.saturating_sub(injected));
         }
+        // An unclaimed detection (a re-detection of an already-claimed
+        // fault, or damage outside the modeled plan) is traced, not
+        // counted.
+        self.instr.tracer.emit(
+            self.instr.shard,
+            detection.cycle,
+            EventKind::FaultDetect,
+            claimed.map_or(u64::MAX, |idx| idx as u64),
+            detection.word.map_or(u64::MAX, |w| w as u64),
+        );
         if fs.policy == FaultPolicy::FailFast {
             panic!(
                 "{} fault detected in {} (fail-fast policy)",
-                kind.name(),
-                component.name()
+                detection.kind.name(),
+                detection.component.name()
             );
         }
         claimed
     }
 
-    /// Claims any detections the circuit raised since the last sweep —
-    /// SRAM parity alarms, sanitized link corruptions, and service-path
-    /// integrity events — against the fault ledger.
+    /// Claims the detections the backend raised since the last sweep,
+    /// then the buffer's parity alarms raised outside the dequeue fast
+    /// path (the push-out eviction also releases slots), against the
+    /// fault ledger.
     fn fault_sweep(&mut self) {
         let Some(mut fs) = self.faults.take() else {
             return;
         };
-        for alarm in self.sorter.take_parity_alarms() {
-            self.note_detection(
-                &mut fs,
-                FaultComponent::TagStore,
-                Some(alarm.addr),
-                alarm.cycle.value(),
-                DetectionKind::Parity,
-            );
-        }
-        for c in self.sorter.take_store_corruptions() {
-            self.note_detection(
-                &mut fs,
-                FaultComponent::TagStore,
-                Some(c.addr as usize),
-                c.cycle.value(),
-                DetectionKind::Structural,
-            );
-        }
         let now = self.sorter.cycles();
-        // Buffer parity alarms raised outside the dequeue fast path (the
-        // push-out eviction also releases slots).
-        for slot in self.buffer.take_fault_alarms() {
-            self.note_detection(
-                &mut fs,
-                FaultComponent::Buffer,
-                Some(slot as usize),
-                now,
-                DetectionKind::Parity,
-            );
-        }
-        for ev in self.sorter.take_integrity_events() {
-            let (component, word) = match ev {
-                IntegrityEvent::TrieDeadEnd { level, index } => (
-                    FaultComponent::Trie,
-                    Some(self.sorter.trie_fault_word_index(level, index)),
-                ),
-                IntegrityEvent::MissingTranslation { tag }
-                | IntegrityEvent::BadLinkAddr { tag, .. } => {
-                    (FaultComponent::Translation, Some(tag.value() as usize))
-                }
-            };
-            self.note_detection(&mut fs, component, word, now, DetectionKind::Structural);
+        let buffer = self
+            .buffer
+            .take_fault_alarms()
+            .into_iter()
+            .map(|slot| buffer_alarm(slot, now));
+        for detection in self.sorter.take_detections().into_iter().chain(buffer) {
+            self.note_detection(&mut fs, detection);
         }
         self.faults = Some(fs);
     }
@@ -925,86 +871,38 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             }
         }
         for section in chosen {
-            // Audit the translation table first: the trie scrub below
-            // treats it as ground truth, so a repair must land before
-            // the trie section is rebuilt from it.
-            let tscrub = self.sorter.scrub_translation(section, repair);
+            let audits = self.sorter.scrub_section(section, repair);
             let cycle = self.sorter.cycles();
-            self.instr
-                .scrub_words_checked
-                .inc(self.instr.shard, tscrub.words_checked);
-            if tscrub.crc_mismatch {
-                // Attribute per damaged entry when ground truth named
-                // them; a latched mismatch whose content healed (or
-                // lazy-mode detect-only) claims by component alone.
-                let claims: Vec<Option<usize>> = if tscrub.damaged_words.is_empty() {
-                    vec![None]
-                } else {
-                    tscrub.damaged_words.iter().map(|&w| Some(w)).collect()
-                };
-                for word in claims {
-                    let claimed = self.note_detection(
-                        &mut fs,
-                        FaultComponent::Translation,
+            self.instr.scrub_sections_audited.inc(self.instr.shard, 1);
+            for audit in audits {
+                self.instr
+                    .scrub_words_checked
+                    .inc(self.instr.shard, audit.words_checked);
+                for word in audit.damaged {
+                    let detection = Detection {
+                        component: audit.component,
                         word,
                         cycle,
-                        DetectionKind::Scrub,
-                    );
-                    if tscrub.repaired {
-                        if let Some(idx) = claimed {
-                            fs.ledger.mark_repaired(idx, cycle);
-                            self.instr.faults_repaired.inc(self.instr.shard, 1);
-                        }
+                        kind: DetectionKind::Scrub,
+                    };
+                    let claimed = self.note_detection(&mut fs, detection);
+                    if let (Some(idx), Some(_)) = (claimed, audit.repair) {
+                        fs.ledger.mark_repaired(idx, cycle);
+                        self.instr.faults_repaired.inc(self.instr.shard, 1);
                     }
                 }
-                if tscrub.repaired {
-                    // Modeled repair cost: the audit reads plus one
-                    // write per restored entry.
-                    let cost = tscrub.words_checked + tscrub.repaired_entries;
-                    self.instr.fault_repair_cost.observe(self.instr.shard, cost);
+                if let Some(r) = audit.repair {
+                    self.instr
+                        .fault_repair_cost
+                        .observe(self.instr.shard, r.cost);
                     self.instr.tracer.emit(
                         self.instr.shard,
                         cycle,
                         EventKind::Repair,
                         section as u64,
-                        tscrub.repaired_entries,
+                        r.units,
                     );
                 }
-            }
-            let scrub = self.sorter.scrub_section(section, repair);
-            let cycle = self.sorter.cycles();
-            self.instr.scrub_sections_audited.inc(self.instr.shard, 1);
-            self.instr
-                .scrub_words_checked
-                .inc(self.instr.shard, scrub.words_checked);
-            for m in &scrub.mismatches {
-                let claimed = self.note_detection(
-                    &mut fs,
-                    FaultComponent::Trie,
-                    Some(m.flat),
-                    cycle,
-                    DetectionKind::Scrub,
-                );
-                if scrub.repaired {
-                    if let Some(idx) = claimed {
-                        fs.ledger.mark_repaired(idx, cycle);
-                        self.instr.faults_repaired.inc(self.instr.shard, 1);
-                    }
-                }
-            }
-            if scrub.repaired {
-                // Modeled repair cost: the audit reads plus one
-                // insertion pass per restored marker.
-                let cost = scrub.words_checked
-                    + scrub.repaired_markers * u64::from(self.sorter.geometry().levels());
-                self.instr.fault_repair_cost.observe(self.instr.shard, cost);
-                self.instr.tracer.emit(
-                    self.instr.shard,
-                    cycle,
-                    EventKind::Repair,
-                    section as u64,
-                    scrub.repaired_markers,
-                );
             }
         }
         self.faults = Some(fs);
@@ -1019,13 +917,13 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         let Some(mut fs) = self.faults.take() else {
             panic!("sorter and buffer agree on occupancy");
         };
-        self.note_detection(
-            &mut fs,
-            FaultComponent::TagStore,
-            None,
+        let detection = Detection {
+            component: FaultComponent::TagStore,
+            word: None,
             cycle,
-            DetectionKind::Structural,
-        );
+            kind: DetectionKind::Structural,
+        };
+        self.note_detection(&mut fs, detection);
         self.faults = Some(fs);
     }
 
@@ -1350,14 +1248,8 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             if !alarms.is_empty() {
                 let cycle = self.sorter.cycles();
                 if let Some(mut fs) = self.faults.take() {
-                    for &alarm_slot in &alarms {
-                        self.note_detection(
-                            &mut fs,
-                            FaultComponent::Buffer,
-                            Some(alarm_slot as usize),
-                            cycle,
-                            DetectionKind::Parity,
-                        );
+                    for &slot in &alarms {
+                        self.note_detection(&mut fs, buffer_alarm(slot, cycle));
                     }
                     self.faults = Some(fs);
                 }
@@ -1795,6 +1687,16 @@ struct CkptEntry {
     finish: VirtualTime,
     enq_cycle: u64,
     pkt: Packet,
+}
+
+/// A packet-buffer descriptor parity alarm at `slot`, as a detection.
+fn buffer_alarm(slot: u32, cycle: u64) -> Detection {
+    Detection {
+        component: FaultComponent::Buffer,
+        word: Some(slot as usize),
+        cycle,
+        kind: DetectionKind::Parity,
+    }
 }
 
 /// Packs an admission policy into one checkpoint word (tag byte plus

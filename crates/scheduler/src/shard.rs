@@ -368,12 +368,6 @@ impl ShardStats {
             .sum()
     }
 
-    /// Modeled aggregate line rate for a mean packet size, bits per
-    /// second.
-    pub fn modeled_line_rate_bps(&self, clock_hz: f64, mean_packet_bytes: f64) -> f64 {
-        self.modeled_packets_per_second(clock_hz) * mean_packet_bytes * 8.0
-    }
-
     /// Load-balance quality: the max/mean ratio of per-port admitted
     /// packets (`enqueued`). 1.0 is a perfectly even spread; N means
     /// everything landed on one of N ports. An idle frontend (no
@@ -608,12 +602,6 @@ fn take_run<B: SortBackend, P: RankPolicy>(shard: &mut HwScheduler<B, P>, max: u
         .collect()
 }
 
-/// Reconciles one shard's fault ledger and reads its totals.
-fn reconcile<B: SortBackend, P: RankPolicy>(shard: &mut HwScheduler<B, P>) -> FaultTotals {
-    shard.reconcile_faults();
-    shard.fault_totals()
-}
-
 fn sum_totals(a: FaultTotals, b: FaultTotals) -> FaultTotals {
     (a.0 + b.0, a.1 + b.1, a.2 + b.2, a.3 + b.3)
 }
@@ -664,7 +652,7 @@ impl<B: SortBackend, P: RankPolicy> Executor<B, P> for Inline<B, P> {
     fn reconcile_faults(&mut self) -> FaultTotals {
         self.shards
             .iter_mut()
-            .map(reconcile)
+            .map(HwScheduler::reconcile_faults)
             .fold((0, 0, 0, 0), sum_totals)
     }
 
@@ -980,11 +968,6 @@ impl<B: SortBackend, P: RankPolicy, E: Executor<B, P>> ShardedFrontend<B, P, E> 
     /// The placement mode the frontend was built with.
     pub fn placement(&self) -> Placement {
         self.map.placement()
-    }
-
-    /// The live flow → port ownership table.
-    pub fn shard_map(&self) -> &ShardMap {
-        &self.map
     }
 
     /// Completed flow migrations (see
@@ -1768,7 +1751,6 @@ mod tests {
         let single = stats.per_port[0].circuit.packets_per_second(143.2e6);
         let modeled = stats.modeled_packets_per_second(143.2e6);
         assert!(modeled > 3.0 * single, "modeled {modeled} vs {single}");
-        assert!(stats.modeled_line_rate_bps(143.2e6, 140.0) > 0.0);
     }
 
     #[test]

@@ -10,8 +10,8 @@ use telemetry::Telemetry;
 use traffic::{FlowId, Packet};
 
 use super::{
-    admit_bucket, reconcile, sum_totals, take_run, Executor, FaultTotals, Run, SchedulerError,
-    SchedulerStats, SojournStamp,
+    admit_bucket, sum_totals, take_run, Executor, FaultTotals, Run, SchedulerError, SchedulerStats,
+    SojournStamp,
 };
 use crate::hwsched::{HwScheduler, MigratedFlow};
 
@@ -68,7 +68,7 @@ fn worker_loop<B: SortBackend, P: RankPolicy>(
             Command::Dequeue => Reply::Dequeued(shard.dequeue_stamped()),
             Command::DequeueRun { max } => Reply::Run(take_run(&mut shard, max)),
             Command::Stats => Reply::Stats(Box::new(shard.stats())),
-            Command::ReconcileFaults => Reply::FaultTotals(reconcile(&mut shard)),
+            Command::ReconcileFaults => Reply::FaultTotals(shard.reconcile_faults()),
             Command::ExtractFlow(flow) => Reply::Extracted(shard.extract_flow(flow)),
             Command::InstallFlow(flow, backlog) => {
                 Reply::Installed(shard.install_flow(flow, &backlog).map_err(|e| (e, backlog)))

@@ -15,10 +15,11 @@
 use proptest::prelude::*;
 
 use fairq::{AnyPolicy, RankPolicy};
-use faultsim::{DetectionKind, FaultConfig, FaultPolicy, FaultSpec, ScrubOrder};
+use fastpath::FfsSorter;
+use faultsim::{DetectionKind, FaultConfig, FaultPolicy, FaultRecord, FaultSpec, ScrubOrder};
 use scheduler::{HwScheduler, ParallelShardedScheduler, SchedulerConfig, ShardedScheduler};
-use tagsort::{Geometry, SortRetrieveCircuit};
-use telemetry::Telemetry;
+use tagsort::{Geometry, HeapSorter, PipelinedSortBackend, SortBackend, SortRetrieveCircuit};
+use telemetry::{Event, Telemetry};
 use traffic::{FlowId, FlowSpec, Packet, SizeDist, Time};
 
 fn flows(n: usize) -> Vec<FlowSpec> {
@@ -44,12 +45,144 @@ fn stream(picks: &[u32], n: usize) -> Vec<Packet> {
         .collect()
 }
 
-fn drain(sched: &mut HwScheduler) -> Vec<Packet> {
+fn drain<B: SortBackend>(sched: &mut HwScheduler<B>) -> Vec<Packet> {
     let mut out = Vec::new();
     while let Some(p) = sched.dequeue() {
         out.push(p);
     }
     out
+}
+
+/// Whether `backend` keeps addressable state for a sorter `component`
+/// (`trie` or `translation`); the others reject the fault structurally.
+fn accepts(backend: &str, component: &str) -> bool {
+    matches!(
+        (backend, component),
+        ("trie" | "pipelined", _) | ("fastpath", "trie")
+    )
+}
+
+/// One `scrub_and_repair_preserves_the_dequeue_sequence` case on the
+/// backend `B`, named `backend`.
+fn repair_case<B: SortBackend>(
+    backend: &str,
+    picks: &[u32],
+    count: u32,
+    seed: u64,
+    component: &str,
+) -> Result<(), TestCaseError> {
+    let fl = flows(24);
+    let trace = stream(picks, 24);
+
+    let mut clean = HwScheduler::<B>::with_backend(&fl, 1e9, SchedulerConfig::default());
+    for p in &trace {
+        clean.enqueue(*p).unwrap();
+    }
+    let reference = drain(&mut clean);
+
+    let spec: FaultSpec = format!("{count}@{seed}:{component}:1").parse().unwrap();
+    let mut cfg = FaultConfig::new(spec, FaultPolicy::ScrubAndRepair, 2 * trace.len() as u64);
+    cfg.scrub_sections = Geometry::paper().sections();
+    let mut faulted = HwScheduler::<B>::with_backend(
+        &fl,
+        1e9,
+        SchedulerConfig {
+            faults: Some(cfg),
+            ..SchedulerConfig::default()
+        },
+    );
+    for p in &trace {
+        faulted.enqueue(*p).unwrap();
+    }
+    let observed = drain(&mut faulted);
+
+    prop_assert_eq!(
+        &observed,
+        &reference,
+        "{}: repair changed the schedule",
+        backend
+    );
+
+    // The run must have actually exercised the machinery: faults
+    // landed (or, where the backend has no such state, were all
+    // rejected), and every detected one was repaired.
+    let (injected, detected, repaired, silent) = faulted.reconcile_faults();
+    let rejected = faulted.fault_rejections().len() as u64;
+    if accepts(backend, component) {
+        prop_assert!(injected > 0, "{backend}: no faults materialized");
+        prop_assert_eq!(rejected, 0, "{}", backend);
+    } else {
+        prop_assert_eq!((injected, rejected), (0, u64::from(count)), "{}", backend);
+    }
+    prop_assert_eq!(
+        detected,
+        repaired,
+        "{}: a detected fault went unrepaired",
+        backend
+    );
+    prop_assert_eq!(detected + silent, injected, "{}", backend);
+    Ok(())
+}
+
+/// One `detect_and_count_never_panics_and_reconciles` case on the
+/// backend `B`, named `backend`.
+fn count_case<B: SortBackend>(
+    backend: &str,
+    picks: &[u32],
+    count: u32,
+    seed: u64,
+    bits: u32,
+) -> Result<(), TestCaseError> {
+    let fl = flows(24);
+    let trace = stream(picks, 24);
+
+    let spec: FaultSpec = format!("{count}@{seed}:any:{bits}").parse().unwrap();
+    let cfg = FaultConfig::new(spec, FaultPolicy::DetectAndCount, 2 * trace.len() as u64);
+    let tel = Telemetry::with_tracing(1, 8);
+    let mut sched = HwScheduler::<B>::with_backend(
+        &fl,
+        1e9,
+        SchedulerConfig {
+            faults: Some(cfg),
+            ..SchedulerConfig::default()
+        },
+    );
+    sched.attach_telemetry(&tel, 0);
+    for p in &trace {
+        sched.enqueue(*p).unwrap();
+    }
+    let served = drain(&mut sched);
+    // Corruption may lose packets, but never invent them.
+    prop_assert!(served.len() <= trace.len(), "{backend}");
+
+    let (injected, detected, _repaired, silent) = sched.reconcile_faults();
+    // The trie circuit exposes every component, so its plans always
+    // land; the others may reject some (or, for the heap, all sorter)
+    // faults — but a plan entry is never both.
+    let rejected = sched.fault_rejections().len() as u64;
+    if accepts(backend, "translation") {
+        prop_assert!(injected > 0, "{backend}: no faults materialized");
+        prop_assert_eq!(rejected, 0, "{}", backend);
+    }
+    prop_assert!(injected + rejected <= u64::from(count), "{backend}");
+    prop_assert_eq!(detected + silent, injected, "{}", backend);
+
+    // The exported snapshot must agree with the ledger.
+    let snap = tel.snapshot();
+    prop_assert_eq!(
+        snap.value("faults_injected_total"),
+        Some(injected as f64),
+        "{}",
+        backend
+    );
+    prop_assert_eq!(
+        snap.value("faults_detected_total").unwrap()
+            + snap.value("silent_corruptions_total").unwrap(),
+        injected as f64,
+        "{}",
+        backend
+    );
+    Ok(())
 }
 
 proptest! {
@@ -60,7 +193,10 @@ proptest! {
     /// round it lands — before the pop — so the served sequence is
     /// byte-identical to a fault-free run. (Trie repairs rebuild from
     /// the translation table; translation repairs rebuild from the tag
-    /// store's per-section check codes and list walk.)
+    /// store's per-section check codes and list walk. The FFS fast
+    /// path repairs occupancy words from its buckets.) Every backend
+    /// runs the same plan; those without the targeted state reject each
+    /// planned fault and serve on.
     #[test]
     fn scrub_and_repair_preserves_the_dequeue_sequence(
         picks in proptest::collection::vec(0u32..10_000, 16..200),
@@ -68,46 +204,15 @@ proptest! {
         seed in 0u64..1_000,
         component in prop_oneof![Just("trie"), Just("translation")],
     ) {
-        let fl = flows(24);
-        let trace = stream(&picks, 24);
-
-        let mut clean = HwScheduler::new(&fl, 1e9, SchedulerConfig::default());
-        for p in &trace {
-            clean.enqueue(*p).unwrap();
-        }
-        let reference = drain(&mut clean);
-
-        let spec: FaultSpec = format!("{count}@{seed}:{component}:1").parse().unwrap();
-        let mut cfg = FaultConfig::new(
-            spec,
-            FaultPolicy::ScrubAndRepair,
-            2 * trace.len() as u64,
-        );
-        cfg.scrub_sections = Geometry::paper().sections();
-        let mut faulted = HwScheduler::new(
-            &fl,
-            1e9,
-            SchedulerConfig { faults: Some(cfg), ..SchedulerConfig::default() },
-        );
-        for p in &trace {
-            faulted.enqueue(*p).unwrap();
-        }
-        let observed = drain(&mut faulted);
-
-        prop_assert_eq!(&observed, &reference, "repair changed the schedule");
-
-        // The run must have actually exercised the machinery: faults
-        // landed, and every detected one was repaired.
-        faulted.reconcile_faults();
-        let (injected, detected, repaired, silent) = faulted.fault_totals();
-        prop_assert!(injected > 0, "no faults materialized");
-        prop_assert_eq!(detected, repaired, "a detected fault went unrepaired");
-        prop_assert_eq!(detected + silent, injected);
+        repair_case::<SortRetrieveCircuit>("trie", &picks, count, seed, component)?;
+        repair_case::<PipelinedSortBackend>("pipelined", &picks, count, seed, component)?;
+        repair_case::<FfsSorter>("fastpath", &picks, count, seed, component)?;
+        repair_case::<HeapSorter>("heap", &picks, count, seed, component)?;
     }
 
     /// `DetectAndCount` tolerates faults in any component without
-    /// panicking, and the exported counters reconcile exactly:
-    /// detected + silent == injected.
+    /// panicking, on every backend, and the exported counters reconcile
+    /// exactly: detected + silent == injected.
     #[test]
     fn detect_and_count_never_panics_and_reconciles(
         picks in proptest::collection::vec(0u32..10_000, 16..200),
@@ -115,42 +220,60 @@ proptest! {
         seed in 0u64..1_000,
         bits in 1u32..3,
     ) {
-        let fl = flows(24);
-        let trace = stream(&picks, 24);
+        count_case::<SortRetrieveCircuit>("trie", &picks, count, seed, bits)?;
+        count_case::<PipelinedSortBackend>("pipelined", &picks, count, seed, bits)?;
+        count_case::<FfsSorter>("fastpath", &picks, count, seed, bits)?;
+        count_case::<HeapSorter>("heap", &picks, count, seed, bits)?;
+    }
+}
 
-        let spec: FaultSpec = format!("{count}@{seed}:any:{bits}").parse().unwrap();
-        let cfg = FaultConfig::new(
-            spec,
-            FaultPolicy::DetectAndCount,
-            2 * trace.len() as u64,
-        );
-        let tel = Telemetry::with_tracing(1, 8);
-        let mut sched = HwScheduler::new(
-            &fl,
-            1e9,
-            SchedulerConfig { faults: Some(cfg), ..SchedulerConfig::default() },
-        );
-        sched.attach_telemetry(&tel, 0);
-        for p in &trace {
-            sched.enqueue(*p).unwrap();
+/// The fault ledger and the full trace-event stream of one faulted run
+/// on `B`.
+fn fault_trail<B: SortBackend>(policy: FaultPolicy, seed: u64) -> (Vec<FaultRecord>, Vec<Event>) {
+    let fl = flows(24);
+    let picks: Vec<u32> = (0..300u32).map(|i| i.wrapping_mul(2_654_435_761)).collect();
+    let spec: FaultSpec = format!("32@{seed}:any:1").parse().unwrap();
+    let mut cfg = FaultConfig::new(spec, policy, 600);
+    cfg.scrub_sections = 4;
+    let tel = Telemetry::with_tracing(1, 1 << 12);
+    let config = SchedulerConfig {
+        capacity: 64,
+        faults: Some(cfg),
+        ..SchedulerConfig::default()
+    };
+    let mut sched = HwScheduler::<B>::with_backend(&fl, 1e9, config);
+    sched.attach_telemetry(&tel, 0);
+    // Interleaved and over capacity, so faults land on a busy circuit.
+    for (i, p) in stream(&picks, 24).into_iter().enumerate() {
+        let _ = sched.enqueue(p);
+        if i % 3 == 0 {
+            sched.dequeue();
         }
-        let served = drain(&mut sched);
-        // Corruption may lose packets, but never invent them.
-        prop_assert!(served.len() <= trace.len());
+    }
+    drain(&mut sched);
+    sched.reconcile_faults();
+    (sched.fault_records().to_vec(), tel.tracer().drain(0))
+}
 
-        sched.reconcile_faults();
-        let (injected, detected, _repaired, silent) = sched.fault_totals();
-        prop_assert!(injected > 0, "no faults materialized");
-        prop_assert_eq!(detected + silent, injected);
-
-        // The exported snapshot must agree with the ledger.
-        let snap = tel.snapshot();
-        prop_assert_eq!(snap.value("faults_injected_total"), Some(injected as f64));
-        prop_assert_eq!(
-            snap.value("faults_detected_total").unwrap()
-                + snap.value("silent_corruptions_total").unwrap(),
-            injected as f64
-        );
+/// The pipelined backend delegates all state to the trie circuit, so
+/// the same plan must leave the same fault ledger and the same trace
+/// events (`FaultDetect` and `Repair` included) on both.
+#[test]
+fn pipelined_faults_match_the_trie_ledger_and_event_stream() {
+    for policy in [FaultPolicy::DetectAndCount, FaultPolicy::ScrubAndRepair] {
+        for seed in [1u64, 5, 9] {
+            let (trie_ledger, trie_events) = fault_trail::<SortRetrieveCircuit>(policy, seed);
+            let (pipe_ledger, pipe_events) = fault_trail::<PipelinedSortBackend>(policy, seed);
+            assert!(
+                trie_ledger.iter().any(|r| r.detected_cycle.is_some()),
+                "{policy}/{seed}: the run detected nothing"
+            );
+            assert_eq!(pipe_ledger, trie_ledger, "{policy}/{seed}: ledgers differ");
+            assert!(
+                pipe_events == trie_events,
+                "{policy}/{seed}: event streams differ"
+            );
+        }
     }
 }
 
@@ -183,8 +306,7 @@ fn buffer_fault_ledger_reconciles() {
             sched.enqueue(*p).unwrap();
         }
         while sched.dequeue().is_some() {}
-        sched.reconcile_faults();
-        let (injected, detected, repaired, silent) = sched.fault_totals();
+        let (injected, detected, repaired, silent) = sched.reconcile_faults();
         assert!(injected > 0, "seed {seed}: no buffer faults materialized");
         assert_eq!(
             detected + silent,

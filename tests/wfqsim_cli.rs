@@ -586,6 +586,33 @@ fn backends_without_addressable_state_record_fault_rejections() {
     );
 }
 
+/// A buffer parity alarm drops the packet it hit; the report's GPS-lag
+/// line must measure the packets that did depart instead of panicking
+/// on the missing one.
+#[test]
+fn fault_dropped_packets_do_not_abort_the_gps_lag_report() {
+    let out = wfqsim(&[
+        "--scheduler",
+        "hw",
+        "--flows",
+        "16",
+        "--seed",
+        "3",
+        "--inject-faults",
+        "64@5:buffer:1",
+    ]);
+    let err = stderr(&out);
+    assert!(out.status.success(), "run failed: {err}");
+    assert!(!err.contains("panicked"), "{err}");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    let lag = stdout
+        .lines()
+        .find_map(|l| l.strip_prefix("GPS lag: "))
+        .expect("report ends with a GPS-lag line");
+    let ms: f64 = lag.split_whitespace().next().unwrap().parse().unwrap();
+    assert!(ms.is_finite(), "GPS lag {lag}");
+}
+
 #[test]
 fn latency_report_exports_per_flow_sojourn_keys() {
     let dir = std::env::temp_dir().join("wfqsim_cli_latency");
