@@ -24,7 +24,7 @@ use scheduler::{
 use tagsort::{
     CleanupPolicy, HeapSorter, MemoryKind, ResidentMemory, SortBackend, SortRetrieveCircuit,
 };
-use traffic::{FlowId, FlowSpec, Packet, ScaleConfig, ScaleWorkload};
+use traffic::{FlowId, FlowSpec, Packet, ScaleWorkload};
 
 use crate::spec::{CampaignSpec, Cell, Frontend, Mode};
 
@@ -265,18 +265,7 @@ fn run_one<B: SortBackend, E: Executor<B, AnyPolicy>>(
     cell: &Cell,
     paged: bool,
 ) -> ModeRun {
-    let workload = ScaleWorkload::new(ScaleConfig {
-        flows: cell.flows,
-        packets: spec.packets,
-        zipf_exponent: spec.zipf_exponent,
-        rate_bps: spec.rate_bps,
-        min_bytes: spec.min_bytes,
-        max_bytes: spec.max_bytes,
-        // A crowd band wider than the population means no churn for
-        // this (small) cell rather than a malformed workload.
-        churn: spec.churn.filter(|c| c.crowd_flows <= cell.flows),
-        seed: spec.seed,
-    });
+    let workload = ScaleWorkload::new(spec.workload(cell.flows));
     let per_flow_rate = spec.rate_bps / f64::from(cell.flows);
     let flows: Vec<FlowSpec> = (0..cell.flows)
         .map(|i| FlowSpec::new(FlowId(i), 1.0, per_flow_rate))

@@ -18,7 +18,7 @@ use fairq::AnyPolicy;
 use faultsim::{FaultPolicy, FaultSpec, ScrubOrder};
 use scheduler::{check_hash_placement, AdmissionPolicy, Placement};
 use tagsort::Geometry;
-use traffic::ChurnSpec;
+use traffic::{ChurnSpec, ScaleConfig};
 
 /// Which scheduler frontend a cell drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -388,12 +388,29 @@ impl CampaignSpec {
             if flows == 0 {
                 return Err("flow populations must be positive".into());
             }
+            self.workload(flows).check()?;
             if sharded && self.placement == Placement::Hash {
                 check_hash_placement(flows as usize, self.ports)
                     .map_err(|e| format!("flows {flows}: {e}"))?;
             }
         }
         Ok(())
+    }
+
+    /// The traffic of a cell with `flows` flows.
+    pub(crate) fn workload(&self, flows: u32) -> ScaleConfig {
+        ScaleConfig {
+            flows,
+            packets: self.packets,
+            zipf_exponent: self.zipf_exponent,
+            rate_bps: self.rate_bps,
+            min_bytes: self.min_bytes,
+            max_bytes: self.max_bytes,
+            // A crowd band wider than the population means no churn for
+            // this (small) cell rather than a malformed workload.
+            churn: self.churn.filter(|c| c.crowd_flows <= flows),
+            seed: self.seed,
+        }
     }
 
     /// The grid, in deterministic sweep order (flows outermost,
@@ -563,6 +580,20 @@ mod tests {
         assert!(CampaignSpec::parse("t", "placement = roulette").is_err());
         assert!(CampaignSpec::parse("t", "ports = 0").is_err());
         assert!(CampaignSpec::parse("t", "flows = 3\nports = 8\nfrontends = sharded").is_err());
+    }
+
+    #[test]
+    fn workload_overrides_are_checked_before_any_cell_runs() {
+        for (text, needle) in [
+            ("rate_bps = 0", "aggregate rate must be positive"),
+            ("min_bytes = 0", "0 < min <= max"),
+            ("min_bytes = 2000", "0 < min <= max"),
+            ("zipf = -3", "Zipf exponent must be finite"),
+            ("zipf = nan", "Zipf exponent must be finite"),
+        ] {
+            let err = CampaignSpec::parse("t", text).expect_err(text);
+            assert!(err.contains(needle), "{text}: {err}");
+        }
     }
 
     #[test]

@@ -148,6 +148,13 @@ pub trait SortBackend {
     /// The smallest stored tag, without removing it (no cycle charge).
     fn peek_min(&self) -> Option<(Tag, PacketRef)>;
 
+    /// The entry the next [`SortBackend::pop_max`] would remove (the
+    /// newest duplicate of the largest tag), without removing it. O(1),
+    /// and like [`SortBackend::peek_min`] it charges no cycles and moves
+    /// no access counter: the trie reads its tail register, FFS its
+    /// occupancy bitmap, the heap its last entry.
+    fn peek_max(&self) -> Option<(Tag, PacketRef)>;
+
     /// Bulk-deletes one wrapped top-level section (Fig. 6): clears its
     /// stale markers so the virtual clock can wrap into it. Returns the
     /// number of markers cleared. Costs no storage cycles.
@@ -257,6 +264,10 @@ impl SortBackend for SortRetrieveCircuit {
 
     fn peek_min(&self) -> Option<(Tag, PacketRef)> {
         self.peek_min()
+    }
+
+    fn peek_max(&self) -> Option<(Tag, PacketRef)> {
+        self.peek_max()
     }
 
     fn recycle_section(&mut self, section: u32) -> usize {

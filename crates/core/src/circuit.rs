@@ -252,6 +252,13 @@ impl SortRetrieveCircuit {
         self.store.peek_min()
     }
 
+    /// The largest stored tag — the entry [`SortRetrieveCircuit::pop_max`]
+    /// would evict — read from the tag store's tail register; no cycle
+    /// charge.
+    pub fn peek_max(&self) -> Option<(Tag, PacketRef)> {
+        self.store.peek_max()
+    }
+
     /// Total tag-storage cycles consumed.
     pub fn cycles(&self) -> Cycle {
         self.store.cycles()

@@ -154,6 +154,12 @@ impl SortBackend for HeapSorter {
             .map(|&(value, _, payload)| (Tag(value), PacketRef(payload)))
     }
 
+    fn peek_max(&self) -> Option<(Tag, PacketRef)> {
+        self.entries
+            .last()
+            .map(|&(value, _, payload)| (Tag(value), PacketRef(payload)))
+    }
+
     fn recycle_section(&mut self, section: u32) -> usize {
         let span = (self.geometry.tag_space() / u64::from(self.geometry.sections())) as u32;
         let lo = section * span;

@@ -578,12 +578,7 @@ impl TagStore {
     pub fn pop_max(&mut self) -> Option<(Tag, PacketRef, LinkAddr, Option<(LinkAddr, Tag)>)> {
         let (head_addr, head_link) = self.head?;
         let base = self.clock.now();
-        // A tail with no predecessor must be the head.
-        let tail = self
-            .tail
-            .map(|t| (t, self.back_of(t)))
-            .filter(|&(t, pred)| pred.is_some() || t == head_addr);
-        let Some((tail_addr, pred)) = tail.filter(|_| self.len > 0) else {
+        let Some((tail_addr, pred)) = self.max_victim(head_addr) else {
             // Either the occupancy counter says empty (`pop_min` refuses
             // the phantom head), or a refill read an upset next-pointer
             // and steered the head register off the list the mirror
@@ -626,6 +621,32 @@ impl TagStore {
         self.len -= 1;
         self.clock.advance(self.slot_cycles());
         Some((tail_link.tag, tail_link.payload, tail_addr, pred))
+    }
+
+    /// The entry the next [`TagStore::pop_max`] would remove, read from
+    /// the tail register and the uncharged debug port: no slot, no
+    /// cycles, no access counts.
+    pub fn peek_max(&self) -> Option<(Tag, PacketRef)> {
+        let (head_addr, head_link) = self.head?;
+        let link = match self.max_victim(head_addr) {
+            Some((tail_addr, _)) if tail_addr != head_addr => self.peek_link(tail_addr),
+            // pop_max falls back to pop_min, which refuses a head left
+            // live at zero occupancy.
+            None if self.len == 0 => return None,
+            // The tail is the head, or pop_max falls back to the head.
+            _ => head_link,
+        };
+        Some((link.tag, link.payload))
+    }
+
+    /// The tail [`TagStore::pop_max`] evicts and its predecessor, or
+    /// `None` when the occupancy counter says empty or the tail register
+    /// names a link the back-pointer mirror cannot connect to the head.
+    fn max_victim(&self, head_addr: LinkAddr) -> Option<(LinkAddr, Option<LinkAddr>)> {
+        // A tail with no predecessor must be the head.
+        self.tail
+            .map(|t| (t, self.back_of(t)))
+            .filter(|&(t, pred)| (pred.is_some() || t == head_addr) && self.len > 0)
     }
 
     /// The paper's simultaneous store + serve: pops the minimum and

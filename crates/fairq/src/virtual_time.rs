@@ -1,7 +1,7 @@
 //! The GPS virtual clock — the algorithm inside the paper's WFQ tag
 //! computation circuit (eq. (1), reference \[8\]).
 
-use std::collections::BTreeMap;
+use std::cmp::Ordering;
 use std::fmt;
 
 use traffic::{FlowId, Time};
@@ -80,24 +80,48 @@ impl fmt::Display for VirtualTime {
 /// ```
 #[derive(Debug, Clone)]
 pub struct GpsVirtualClock {
-    weights: Vec<f64>,
+    /// One record per flow, so an arrival touches one cache line.
+    flows: Vec<FlowState>,
     rate_bps: f64,
     v: f64,
     t_last: f64,
-    /// Per-flow largest finishing tag handed out so far.
-    last_finish: Vec<f64>,
-    /// Busy sessions keyed by their drain virtual time (last finish tag).
-    /// Values are flow indices; keys are unique per flow by construction
-    /// (ties broken with the flow index in the key).
-    busy: BTreeMap<(VirtualTime, u32), ()>,
-    /// Current key of each busy flow, if busy.
-    busy_key: Vec<Option<VirtualTime>>,
+    /// Busy sessions as an indexed 4-ary min-heap on `(drain virtual
+    /// time, flow)`: the drain time is the flow's last finishing tag,
+    /// and the flow index breaks ties, so the order is total and the
+    /// head is the next session to drain. Each flow's record holds its
+    /// heap position.
+    busy: Vec<(f64, u32)>,
     sum_phi_busy: f64,
     /// Breakpoints of the piecewise-linear V(t) trajectory, recorded for
     /// virtual→real inversion when enabled (the fluid GPS reference
     /// needs it). Monotone in both coordinates.
     breakpoints: Vec<(f64, f64)>,
     record_segments: bool,
+}
+
+/// A flow's GPS state.
+#[derive(Debug, Clone, Copy)]
+struct FlowState {
+    /// Largest finishing tag handed out so far.
+    last_finish: f64,
+    weight: f64,
+    /// Index in the busy heap, or [`IDLE`].
+    pos: u32,
+}
+
+/// [`FlowState::pos`] of a flow outside the busy heap.
+const IDLE: u32 = u32::MAX;
+
+/// Children per busy-heap node.
+const ARITY: usize = 4;
+
+/// Busy-heap order: drain time by `total_cmp`, then flow index.
+fn precedes(a: (f64, u32), b: (f64, u32)) -> bool {
+    match a.0.total_cmp(&b.0) {
+        Ordering::Less => true,
+        Ordering::Equal => a.1 < b.1,
+        Ordering::Greater => false,
+    }
 }
 
 impl GpsVirtualClock {
@@ -119,13 +143,18 @@ impl GpsVirtualClock {
             "rate must be positive and finite"
         );
         Self {
-            weights: weights.to_vec(),
+            flows: weights
+                .iter()
+                .map(|&weight| FlowState {
+                    last_finish: 0.0,
+                    weight,
+                    pos: IDLE,
+                })
+                .collect(),
             rate_bps,
             v: 0.0,
             t_last: 0.0,
-            last_finish: vec![0.0; weights.len()],
-            busy: BTreeMap::new(),
-            busy_key: vec![None; weights.len()],
+            busy: Vec::new(),
             sum_phi_busy: 0.0,
             breakpoints: vec![(0.0, 0.0)],
             record_segments: false,
@@ -170,16 +199,15 @@ impl GpsVirtualClock {
                 return;
             }
             let slope = self.rate_bps / self.sum_phi_busy;
-            let (&(drain_v, flow_idx), _) = self.busy.iter().next().expect("non-empty");
-            let t_hit = self.t_last + (drain_v.0 - self.v) / slope;
+            let (drain_v, flow_idx) = self.busy[0];
+            let t_hit = self.t_last + (drain_v - self.v) / slope;
             if t_hit <= to {
                 // The head session drains before (or at) `to`.
-                self.v = drain_v.0;
+                self.v = drain_v;
                 self.t_last = t_hit;
                 self.push_breakpoint();
-                self.busy.remove(&(drain_v, flow_idx));
-                self.busy_key[flow_idx as usize] = None;
-                self.sum_phi_busy -= self.weights[flow_idx as usize];
+                self.remove_busy(flow_idx as usize);
+                self.sum_phi_busy -= self.flows[flow_idx as usize].weight;
                 if self.busy.is_empty() {
                     self.sum_phi_busy = 0.0; // kill accumulated error
                 }
@@ -206,28 +234,33 @@ impl GpsVirtualClock {
         at: Time,
     ) -> (VirtualTime, VirtualTime) {
         let idx = flow.0 as usize;
-        assert!(idx < self.weights.len(), "unknown {flow}");
+        assert!(idx < self.flows.len(), "unknown {flow}");
         self.advance(at);
-        let start = self.v.max(self.last_finish[idx]);
-        let finish = start + size_bits / self.weights[idx];
-        self.last_finish[idx] = finish;
+        let FlowState {
+            last_finish,
+            weight,
+            pos,
+        } = self.flows[idx];
+        let start = self.v.max(last_finish);
+        let finish = start + size_bits / weight;
+        self.flows[idx].last_finish = finish;
         // Reposition the flow in the busy set under its new drain tag.
-        if let Some(old) = self.busy_key[idx].take() {
-            self.busy.remove(&(old, flow.0));
+        if pos == IDLE {
+            self.sum_phi_busy += weight;
+            self.push_busy(flow.0, finish);
         } else {
-            self.sum_phi_busy += self.weights[idx];
+            self.busy[pos as usize].0 = finish;
+            self.reposition(pos as usize);
         }
-        self.busy.insert((VirtualTime(finish), flow.0), ());
-        self.busy_key[idx] = Some(VirtualTime(finish));
         (VirtualTime(start), VirtualTime(finish))
     }
 
     /// Advances until every busy session drains; returns the real time at
     /// which the GPS system empties.
     pub fn drain(&mut self) -> Time {
-        while let Some((&(drain_v, _), _)) = self.busy.iter().next().map(|kv| (kv.0, ())) {
+        while let Some(&(drain_v, _)) = self.busy.first() {
             let slope = self.rate_bps / self.sum_phi_busy;
-            let t_hit = self.t_last + (drain_v.0 - self.v) / slope;
+            let t_hit = self.t_last + (drain_v - self.v) / slope;
             self.advance(Time(t_hit));
         }
         Time(self.t_last)
@@ -265,8 +298,8 @@ impl GpsVirtualClock {
     /// Panics if the flow id is out of range.
     pub fn last_finish_of(&self, flow: FlowId) -> VirtualTime {
         let idx = flow.0 as usize;
-        assert!(idx < self.weights.len(), "unknown {flow}");
-        VirtualTime(self.last_finish[idx])
+        assert!(idx < self.flows.len(), "unknown {flow}");
+        VirtualTime(self.flows[idx].last_finish)
     }
 
     /// Overwrites one flow's last finishing tag, keeping the busy set
@@ -281,20 +314,20 @@ impl GpsVirtualClock {
     /// Panics if the flow id is out of range or the tag is non-finite.
     pub fn set_last_finish(&mut self, flow: FlowId, v: VirtualTime) {
         let idx = flow.0 as usize;
-        assert!(idx < self.weights.len(), "unknown {flow}");
+        assert!(idx < self.flows.len(), "unknown {flow}");
         assert!(v.0.is_finite(), "finish tag must be finite, got {v}");
-        if let Some(old) = self.busy_key[idx].take() {
-            self.busy.remove(&(old, flow.0));
-            self.sum_phi_busy -= self.weights[idx];
+        let weight = self.flows[idx].weight;
+        if self.flows[idx].pos != IDLE {
+            self.remove_busy(idx);
+            self.sum_phi_busy -= weight;
             if self.busy.is_empty() {
                 self.sum_phi_busy = 0.0; // kill accumulated error
             }
         }
-        self.last_finish[idx] = v.0;
+        self.flows[idx].last_finish = v.0;
         if v.0 > self.v {
-            self.busy.insert((v, flow.0), ());
-            self.busy_key[idx] = Some(v);
-            self.sum_phi_busy += self.weights[idx];
+            self.push_busy(flow.0, v.0);
+            self.sum_phi_busy += weight;
         }
     }
 
@@ -305,13 +338,13 @@ impl GpsVirtualClock {
     /// loads these words. Segment recording is excluded too (the fluid
     /// GPS reference records; scheduler clocks never do).
     pub fn state_words(&self) -> Vec<u64> {
-        let n = self.weights.len();
+        let n = self.flows.len();
         let mut words = Vec::with_capacity(3 + 2 * n);
         words.push(self.v.to_bits());
         words.push(self.t_last.to_bits());
         words.push(n as u64);
-        words.extend(self.last_finish.iter().map(|f| f.to_bits()));
-        words.extend(self.busy_key.iter().map(|k| u64::from(k.is_some())));
+        words.extend(self.flows.iter().map(|f| f.last_finish.to_bits()));
+        words.extend(self.flows.iter().map(|f| u64::from(f.pos != IDLE)));
         words
     }
 
@@ -327,7 +360,7 @@ impl GpsVirtualClock {
     /// of flows (a checkpoint CRC guards against corruption upstream;
     /// this guards against restoring into the wrong link).
     pub fn load_state_words(&mut self, words: &[u64]) {
-        let n = self.weights.len();
+        let n = self.flows.len();
         assert!(
             words.len() == 3 + 2 * n && words[2] as usize == n,
             "clock state for {} flows cannot restore into {n}",
@@ -338,16 +371,86 @@ impl GpsVirtualClock {
         self.busy.clear();
         self.sum_phi_busy = 0.0;
         for i in 0..n {
-            self.last_finish[i] = f64::from_bits(words[3 + i]);
-            self.busy_key[i] = None;
+            let finish = f64::from_bits(words[3 + i]);
+            self.flows[i].last_finish = finish;
+            self.flows[i].pos = IDLE;
             if words[3 + n + i] != 0 {
-                let key = VirtualTime(self.last_finish[i]);
-                self.busy.insert((key, i as u32), ());
-                self.busy_key[i] = Some(key);
-                self.sum_phi_busy += self.weights[i];
+                self.push_busy(i as u32, finish);
+                self.sum_phi_busy += self.flows[i].weight;
             }
         }
         self.breakpoints = vec![(self.t_last, self.v)];
+    }
+
+    /// Adds an idle flow to the busy heap under drain time `finish`.
+    fn push_busy(&mut self, flow: u32, finish: f64) {
+        self.busy.push((finish, flow));
+        self.sift_up(self.busy.len() - 1);
+    }
+
+    /// Takes busy flow `idx` out of the heap, marking it idle.
+    fn remove_busy(&mut self, idx: usize) {
+        let pos = self.flows[idx].pos as usize;
+        self.flows[idx].pos = IDLE;
+        let last = self.busy.pop().expect("busy flow is in the heap");
+        if pos < self.busy.len() {
+            self.place(pos, last);
+            self.reposition(pos);
+        }
+    }
+
+    /// Restores heap order around an entry whose key changed.
+    fn reposition(&mut self, pos: usize) {
+        let pos = self.sift_up(pos);
+        self.sift_down(pos);
+    }
+
+    /// Moves the entry at `pos` towards the root until its parent
+    /// precedes it; returns where it settled.
+    fn sift_up(&mut self, mut pos: usize) -> usize {
+        let entry = self.busy[pos];
+        while pos > 0 {
+            let parent = (pos - 1) / ARITY;
+            if !precedes(entry, self.busy[parent]) {
+                break;
+            }
+            self.place(pos, self.busy[parent]);
+            pos = parent;
+        }
+        self.place(pos, entry);
+        pos
+    }
+
+    /// Moves the entry at `pos` towards the leaves until it precedes
+    /// all its children.
+    fn sift_down(&mut self, mut pos: usize) {
+        let entry = self.busy[pos];
+        let len = self.busy.len();
+        loop {
+            let first = ARITY * pos + 1;
+            if first >= len {
+                break;
+            }
+            let mut best = first;
+            for child in first + 1..(first + ARITY).min(len) {
+                if precedes(self.busy[child], self.busy[best]) {
+                    best = child;
+                }
+            }
+            if !precedes(self.busy[best], entry) {
+                break;
+            }
+            self.place(pos, self.busy[best]);
+            pos = best;
+        }
+        self.place(pos, entry);
+    }
+
+    /// Writes `entry` at heap index `pos` and records the position in
+    /// its flow's record.
+    fn place(&mut self, pos: usize, entry: (f64, u32)) {
+        self.busy[pos] = entry;
+        self.flows[entry.1 as usize].pos = pos as u32;
     }
 
     fn push_breakpoint(&mut self) {

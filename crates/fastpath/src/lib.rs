@@ -229,6 +229,16 @@ impl FfsSorter {
         }
     }
 
+    /// The bucket `pop_max` evicts from: the occupancy hierarchy's
+    /// largest tag, or — on a corrupt hierarchy — the ground-truth scan,
+    /// as `peek_min` does.
+    fn locate_max(&self) -> Option<usize> {
+        match Self::descend_max(&self.occ) {
+            Some(tag) if self.buckets[tag].head != NONE => Some(tag),
+            _ => self.buckets.iter().rposition(|b| b.head != NONE),
+        }
+    }
+
     /// Linear ground-truth scan for the smallest non-empty bucket — the
     /// corruption-recovery slow path only.
     fn scan_buckets_min(&self) -> Option<usize> {
@@ -507,11 +517,7 @@ impl SortBackend for FfsSorter {
         self.occ_stats.begin_op();
         self.bucket_stats.begin_op();
         self.occ_stats.record_batch(self.depth() as u64);
-        let tag = match Self::descend_max(&self.occ) {
-            Some(tag) if self.buckets[tag].head != NONE => tag,
-            // Corrupt hierarchy: ground-truth scan, as peek_min does.
-            _ => self.buckets.iter().rposition(|b| b.head != NONE)?,
-        };
+        let tag = self.locate_max()?;
         self.bucket_stats.record_read();
         let tail = self.buckets[tag].tail;
         let node = self.nodes[tail as usize];
@@ -563,6 +569,18 @@ impl SortBackend for FfsSorter {
         Some((
             Tag(tag as u32),
             PacketRef(self.nodes[head as usize].payload),
+        ))
+    }
+
+    fn peek_max(&self) -> Option<(Tag, PacketRef)> {
+        if self.len == 0 {
+            return None;
+        }
+        let tag = self.locate_max()?;
+        let tail = self.buckets[tag].tail;
+        Some((
+            Tag(tag as u32),
+            PacketRef(self.nodes[tail as usize].payload),
         ))
     }
 

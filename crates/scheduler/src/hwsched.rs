@@ -234,7 +234,8 @@ pub struct SchedulerStats {
     /// Times the sorter served a tag that was not the smallest
     /// outstanding tick — possible only under [`WrapPolicy::Wrap`] at
     /// the lap boundary, where wrapped (logically newest) tags overtake
-    /// the old lap's stragglers.
+    /// the old lap's stragglers, or under a fault plan, where a tolerant
+    /// sorter may misserve. Always zero otherwise.
     pub inversions: u64,
     /// Queued packets evicted by [`AdmissionPolicy::PushOut`] to admit a
     /// better-ranked arrival (always zero under tail-drop).
@@ -448,8 +449,15 @@ pub struct HwScheduler<B: SortBackend = SortRetrieveCircuit, P: RankPolicy = Wfq
     /// Arrivals the WRED coin has judged so far — the counter keying the
     /// deterministic coin stream (checkpointed in one word).
     wred_coins: u64,
-    /// Outstanding assigned ticks, for the quantizer's window tracking.
-    outstanding: BTreeSet<(u64, u64)>,
+    /// Exact `(tick, stamp)` shadow of the sorter's contents, kept only
+    /// where tag order can differ from tick order: under
+    /// [`WrapPolicy::Wrap`], whose live ticks span two laps, and under a
+    /// fault plan, where a tolerant sorter may serve out of order (the
+    /// shadow is what measures `inversions` there). Otherwise — a
+    /// fault-free [`WrapPolicy::Saturate`] scheduler — every live tick
+    /// sits in one lap, and the live-tick bounds are read from the
+    /// sorter (see [`HwScheduler::live_tick_bounds`]).
+    outstanding: Option<BTreeSet<(u64, u64)>>,
     /// (tick, stamp, finishing tag, enqueue cycle, generational buffer
     /// reference) of each occupied buffer slot. The sorter stores only
     /// the bare slot index; the generation rides here, scheduler-side.
@@ -548,6 +556,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             cleanup: config.cleanup,
             memory: config.memory,
         });
+        let shadow = config.wrap_policy == WrapPolicy::Wrap || config.faults.is_some();
         let faults = config.faults.map(|fc| {
             // Fail-fast keeps the circuit's hard assertions armed; the
             // counting and repairing policies degrade gracefully instead.
@@ -579,7 +588,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             cleanup: config.cleanup,
             paged: false,
             wred_coins: 0,
-            outstanding: BTreeSet::new(),
+            outstanding: shadow.then(BTreeSet::new),
             slot_info: vec![None; config.capacity],
             next_stamp: 0,
             enqueued: 0,
@@ -991,8 +1000,7 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             // rebase — their ranks already live in a fixed window.
             self.quantizer.rebase(self.policy.rank_floor());
         }
-        let min_outstanding_tick = self.outstanding.first().map(|&(t, _)| t);
-        let out = self.quantizer.quantize(finish, min_outstanding_tick);
+        let out = self.quantizer.quantize(finish, self.min_live_tick());
         if out.clamped || !out.recycle.is_empty() {
             self.instr.clamped.inc(self.instr.shard, out.clamped as u64);
             self.instr.tracer.emit(
@@ -1130,11 +1138,10 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
     /// Attempts to free one buffer slot for an arrival quantized to
     /// `tick` by evicting the sorter's maximum entry
     /// ([`AdmissionPolicy::PushOut`]). Succeeds only when the arrival
-    /// strictly outranks the largest outstanding tick; the victim is
-    /// dropped (counted and traced like any refused packet).
+    /// strictly outranks the victim tick; the victim is dropped (counted
+    /// and traced like any refused packet).
     fn try_push_out(&mut self, tick: u64) -> Option<()> {
-        let &(max_tick, _) = self.outstanding.iter().next_back()?;
-        if tick >= max_tick {
+        if tick >= self.victim_tick()? {
             return None;
         }
         let (_, slot) = self.sorter.pop_max()?;
@@ -1145,12 +1152,51 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
         Some(())
     }
 
+    /// The live-tick bounds admission works from: the smallest live
+    /// tick (the quantizer's window anchor) and the tick an arrival must
+    /// beat to push out the sorter's maximum. `None` while nothing is
+    /// queued.
+    pub fn live_tick_bounds(&self) -> Option<(u64, u64)> {
+        Some((self.min_live_tick()?, self.victim_tick()?))
+    }
+
+    /// The smallest live tick. Without the shadow set every live tick
+    /// sits in one lap (the quantizer confines them under
+    /// [`WrapPolicy::Saturate`]), so tag order is tick order and the
+    /// sorter's minimum entry carries the smallest tick.
+    fn min_live_tick(&self) -> Option<u64> {
+        match &self.outstanding {
+            Some(set) => set.first().map(|&(t, _)| t),
+            None => self.sorter.peek_min().map(|(_, slot)| self.tick_of(slot)),
+        }
+    }
+
+    /// The tick push-out compares an arrival against: the tick of the
+    /// entry `pop_max` evicts, or with the shadow set the largest live
+    /// tick — which under [`WrapPolicy::Wrap`] can differ from the
+    /// evicted entry's when the live set straddles a lap.
+    fn victim_tick(&self) -> Option<u64> {
+        match &self.outstanding {
+            Some(set) => set.last().map(|&(t, _)| t),
+            None => self.sorter.peek_max().map(|(_, slot)| self.tick_of(slot)),
+        }
+    }
+
+    /// The tick of the live entry in buffer slot `slot`.
+    fn tick_of(&self, slot: PacketRef) -> u64 {
+        self.slot_info[slot.index() as usize]
+            .expect("a fault-free sorter names live slots only")
+            .0
+    }
+
     /// Starts tracking an entry just sorted in: its tick joins the
     /// outstanding set and its sideband parks under its buffer slot.
     /// The inverse of [`HwScheduler::retire`].
     fn track(&mut self, info: SlotInfo) {
         let (tick, stamp, .., full) = info;
-        self.outstanding.insert((tick, stamp));
+        if let Some(set) = &mut self.outstanding {
+            set.insert((tick, stamp));
+        }
         self.slot_info[full.index() as usize] = Some(info);
     }
 
@@ -1169,7 +1215,9 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             return None;
         };
         let (tick, stamp, .., full) = info;
-        self.outstanding.remove(&(tick, stamp));
+        if let Some(set) = &mut self.outstanding {
+            set.remove(&(tick, stamp));
+        }
         let Some(pkt) = self.buffer.try_release(full) else {
             self.note_pointer_corruption();
             return None;
@@ -1265,8 +1313,14 @@ impl<B: SortBackend, P: RankPolicy> HwScheduler<B, P> {
             // An inversion means some other outstanding tick is
             // logically smaller than the served one: the linear sorter's
             // head overtook it at the wrap boundary, which only
-            // WrapPolicy::Wrap permits.
-            if self.outstanding.first().is_some_and(|&(t, _)| t < tick) {
+            // WrapPolicy::Wrap permits, or a faulted sorter misserved.
+            // Without the shadow set neither can happen.
+            if self
+                .outstanding
+                .as_ref()
+                .and_then(BTreeSet::first)
+                .is_some_and(|&(t, _)| t < tick)
+            {
                 self.inversions += 1;
                 self.instr.inversions.inc(self.instr.shard, 1);
             }
@@ -1773,7 +1827,16 @@ mod tests {
 
     #[test]
     fn hardware_cost_is_four_cycles_per_packet() {
-        let mut s = sched(&[1.0, 1.0, 1.0, 1.0]);
+        // The empty plan keeps the exact live-tick set, so the inversion
+        // count below is measured rather than trivially zero.
+        let mut s = HwScheduler::new(
+            &flows(&[1.0, 1.0, 1.0, 1.0]),
+            1e9,
+            SchedulerConfig {
+                faults: empty_fault_plan(),
+                ..SchedulerConfig::default()
+            },
+        );
         for i in 0..400 {
             s.enqueue(pkt(i, (i % 4) as u32, i as f64 * 1e-5, 300))
                 .unwrap();
@@ -1925,6 +1988,18 @@ mod tests {
         );
     }
 
+    /// A fault plan that injects nothing: the scheduler keeps its exact
+    /// live-tick set, which is what counts inversions.
+    fn empty_fault_plan() -> Option<FaultConfig> {
+        let spec = faultsim::FaultSpec {
+            count: 0,
+            seed: 1,
+            component: None,
+            bits: 1,
+        };
+        Some(FaultConfig::new(spec, FaultPolicy::DetectAndCount, 1))
+    }
+
     #[test]
     fn saturate_policy_never_inverts() {
         let mut s = HwScheduler::new(
@@ -1933,6 +2008,7 @@ mod tests {
             SchedulerConfig {
                 tick_scale: 10.0,
                 wrap_policy: WrapPolicy::Saturate,
+                faults: empty_fault_plan(),
                 ..SchedulerConfig::default()
             },
         );
@@ -1947,6 +2023,32 @@ mod tests {
             }
         }
         while s.dequeue().is_some() {}
+        assert_eq!(s.stats().inversions, 0);
+    }
+
+    #[test]
+    fn saturate_clamps_ticks_below_an_open_lap_instead_of_inverting() {
+        let mut s = HwScheduler::new(
+            &flows(&[0.25, 1.0]),
+            1e6,
+            SchedulerConfig {
+                tick_scale: 10.0,
+                faults: empty_fault_plan(),
+                ..SchedulerConfig::default()
+            },
+        );
+        // 12000 bits at weight 0.25 finish 4800 ticks out: past the
+        // 4096-tick lap, so this packet alone opens lap 1 (tag 704).
+        s.enqueue(pkt(0, 0, 0.0, 1500)).unwrap();
+        // Flow 1's packets finish every 800 ticks. The first five would
+        // land in lap 0, where their tags (800..4000) sort after 704;
+        // they clamp up to the lap base (tag 0) instead.
+        for seq in 1..=8 {
+            s.enqueue(pkt(seq, 1, 0.0, 1000)).unwrap();
+        }
+        let served: Vec<u64> = std::iter::from_fn(|| s.dequeue()).map(|p| p.seq).collect();
+        assert_eq!(served, [1, 2, 3, 4, 5, 0, 6, 7, 8]);
+        assert_eq!(s.stats().clamped, 5);
         assert_eq!(s.stats().inversions, 0);
     }
 

@@ -10,11 +10,15 @@
 //! newest) tags before the old lap's largest tags. This module makes the
 //! resolution explicit via [`WrapPolicy`]:
 //!
-//! * [`WrapPolicy::Saturate`] (default) — tags that would wrap while
-//!   older tags still occupy the top of the range are clamped to the
-//!   range top. Service order is preserved exactly; the clamp introduces
-//!   a bounded quantization error that disappears as soon as the window
-//!   clears (and the base is rebased whenever the system drains empty).
+//! * [`WrapPolicy::Saturate`] (default) — every tick is confined to the
+//!   lap of the oldest live tick: tags that would wrap while older tags
+//!   still occupy the top of the range are clamped to the range top, and
+//!   tags that would fall below the lap to its base. Service order is
+//!   preserved exactly; the clamp introduces a bounded quantization
+//!   error that disappears as soon as the window clears (and the base is
+//!   rebased whenever the system drains empty). Because all live ticks
+//!   share one lap, tag order is tick order, and a scheduler can read
+//!   its smallest and largest live ticks from the sorter.
 //! * [`WrapPolicy::Wrap`] — the paper-literal behaviour: tags wrap
 //!   modulo 2^W. Order inversions at the boundary are possible and are
 //!   *measured* by experiment E4 rather than hidden.
@@ -25,7 +29,7 @@ use tagsort::{Geometry, Tag};
 /// How tags behave at the top of the W-bit range.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum WrapPolicy {
-    /// Clamp new tags to the range top until the old lap drains
+    /// Clamp new tags into the oldest live tag's lap until it drains
     /// (order-preserving; bounded extra quantization error).
     #[default]
     Saturate,
@@ -142,7 +146,9 @@ impl TagQuantizer {
     ///
     /// Returns the sorter tag plus any sections that must be recycled
     /// first. Callers must perform the recycling *before* inserting the
-    /// tag.
+    /// tag. Under [`WrapPolicy::Saturate`] the returned tick always lies
+    /// in the lap (the aligned `tag_space()` window) of
+    /// `min_outstanding_tick`.
     ///
     /// # Panics
     ///
@@ -166,15 +172,21 @@ impl TagQuantizer {
         if self.policy == WrapPolicy::Saturate {
             // Order preservation requires every live tick to sit in the
             // same lap-aligned window (modular reduction is monotone only
-            // within one lap). Clamp to the top of the oldest live tag's
-            // lap; a rebase when the sorter drains restores headroom.
+            // within one lap). Clamp into the oldest live tag's lap: to
+            // its top for a tag that would wrap (a rebase when the sorter
+            // drains restores headroom), to its base for one that would
+            // fall below it (a tag landing more than a lap past the floor
+            // opens a new lap on an empty sorter, and smaller tags that
+            // follow it undershoot). Schedulers read their live-tick
+            // bounds from the sorter on the strength of this.
             let lap_base = (min_tick / space) * space;
-            let limit = lap_base + space - 1;
-            if tick > limit {
-                tick = limit;
+            let confined = tick.clamp(lap_base, lap_base + space - 1);
+            if confined != tick {
+                tick = confined;
                 clamped = true;
                 self.clamped += 1;
             }
+            debug_assert_eq!(tick / space, min_tick / space, "tick left the live lap");
         } else {
             // (saturating: PGPS may legitimately emit a tag below the
             // smallest outstanding one; the window is then zero.)
@@ -314,6 +326,17 @@ mod tests {
         assert_eq!(q.clamped_count(), 1);
         // A clamped tag never sorts below the live minimum.
         assert!(out.tag.value() >= 10);
+    }
+
+    #[test]
+    fn saturate_clamps_a_tick_below_the_live_lap_up_to_its_base() {
+        let mut q = quant();
+        // Oldest outstanding at tick 5000 (lap 1); a tag at 10 would
+        // land in lap 0 and sort after it — clamp up to 4096 (tag 0).
+        let out = q.quantize(VirtualTime(10.0), Some(5000));
+        assert!(out.clamped);
+        assert_eq!((out.tick, out.tag), (4096, Tag(0)));
+        assert_eq!(q.clamped_count(), 1);
     }
 
     #[test]

@@ -477,3 +477,77 @@ fn drive<B: SortBackend>(ops: &[DirectOp]) -> (Vec<String>, B) {
     log.push(format!("len {}", backend.len()));
     (log, backend)
 }
+
+/// Replays an insert/pop program (tags from a narrow range, so
+/// duplicates of the maximum are common) on a fresh `B`, and before
+/// every `pop_max` checks that `peek_max` names exactly the entry it
+/// then removes — the newest duplicate of the largest tag, as an
+/// insertion-ordered model says — and that peeking, at every step,
+/// leaves `cycles()` and `stats()` untouched.
+fn check_peek_max<B: SortBackend>(ops: &[(u8, u8)]) -> Result<(), TestCaseError> {
+    let mut backend = B::build(&BackendSpec {
+        geometry: Geometry::paper(),
+        capacity: 16,
+        cleanup: CleanupPolicy::Eager,
+        memory: MemoryKind::SinglePort,
+    });
+    // Live (tag, payload) pairs in insertion order.
+    let mut live: Vec<(Tag, PacketRef)> = Vec::new();
+    for (i, &(kind, value)) in ops.iter().enumerate() {
+        let (cycles, stats) = (backend.cycles(), backend.stats());
+        let peeked = backend.peek_max();
+        prop_assert_eq!(
+            backend.cycles(),
+            cycles,
+            "{}: peek_max charged cycles",
+            backend.name()
+        );
+        prop_assert!(
+            backend.stats() == stats,
+            "{}: peek_max moved stats",
+            backend.name()
+        );
+        // `max_by_key` keeps the last of equal maxima: the newest.
+        let newest_max = live.iter().max_by_key(|(tag, _)| *tag).copied();
+        prop_assert_eq!(
+            peeked,
+            newest_max,
+            "{}: peek_max at step {}",
+            backend.name(),
+            i
+        );
+        match kind {
+            0..=5 => {
+                let entry = (Tag(u32::from(value) * 100), PacketRef(i as u32));
+                if backend.insert(entry.0, entry.1).is_ok() {
+                    live.push(entry);
+                }
+            }
+            6..=7 => {
+                let popped = backend.pop_max();
+                prop_assert_eq!(popped, peeked, "{}: pop_max at step {}", backend.name(), i);
+                live.retain(|e| Some(*e) != popped);
+            }
+            _ => {
+                let popped = backend.pop_min();
+                live.retain(|e| Some(*e) != popped);
+            }
+        }
+    }
+    Ok(())
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// `peek_max` is a free, exact preview of `pop_max` on every backend.
+    #[test]
+    fn peek_max_names_the_next_pop_max_victim_for_free(
+        ops in proptest::collection::vec((0u8..10, 0u8..24), 1..200),
+    ) {
+        check_peek_max::<SortRetrieveCircuit>(&ops)?;
+        check_peek_max::<PipelinedSortBackend>(&ops)?;
+        check_peek_max::<FfsSorter>(&ops)?;
+        check_peek_max::<HeapSorter>(&ops)?;
+    }
+}

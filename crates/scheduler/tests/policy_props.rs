@@ -14,6 +14,7 @@
 //!   packet for packet on any seeded workload.
 
 use fairq::{HierarchicalWfqRank, RankPolicy, SrptRank, StrictPriorityRank, WfqRank};
+use faultsim::{FaultConfig, FaultPolicy, FaultSpec};
 use proptest::prelude::*;
 use scheduler::{HwLinkSim, HwScheduler, SchedulerConfig};
 use tagsort::{Geometry, SortRetrieveCircuit};
@@ -45,7 +46,9 @@ fn flows() -> Vec<FlowSpec> {
 /// Drives an enqueue/dequeue program against the real scheduler while a
 /// shadow list tracks every queued packet's quantized tick. Each
 /// dequeue must serve the shadow's smallest (tick, insertion) pair, and
-/// the scheduler's own inversion counter must stay at zero.
+/// the scheduler's own inversion counter must stay at zero. An empty
+/// fault plan keeps the scheduler's exact live-tick set, without which
+/// that counter is never raised.
 fn assert_never_inverts<P: RankPolicy>(
     proto: &P,
     tick_scale: f64,
@@ -59,6 +62,16 @@ fn assert_never_inverts<P: RankPolicy>(
         SchedulerConfig {
             tick_scale,
             capacity: 1 << 10,
+            faults: Some(FaultConfig::new(
+                FaultSpec {
+                    count: 0,
+                    seed: 1,
+                    component: None,
+                    bits: 1,
+                },
+                FaultPolicy::DetectAndCount,
+                1,
+            )),
             ..SchedulerConfig::default()
         },
         proto,

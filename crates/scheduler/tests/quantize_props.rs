@@ -73,6 +73,40 @@ proptest! {
         }
     }
 
+    /// Under Saturate every tick also lies in the lap of the smallest
+    /// live tick when ranks jump around — far below it (bounded-domain
+    /// policies, or ordinary tags after a tiny-weight flow's huge one
+    /// opened a lap) as well as above — and live entries leave from
+    /// either end, as service and push-out take them. So across the live
+    /// set tag order is tick order, the fact schedulers rely on when
+    /// they read their live-tick bounds from the sorter.
+    #[test]
+    fn saturate_keeps_every_live_tick_in_the_smallest_ones_lap(
+        steps in proptest::collection::vec((0.0f64..20_000.0, 0u8..4), 1..200),
+    ) {
+        let mut q = TagQuantizer::new(Geometry::paper(), 1.0);
+        let mut live: Vec<(u64, u32)> = Vec::new();
+        for (finish, leave) in steps {
+            let min = live.iter().map(|&(tick, _)| tick).min();
+            let out = q.quantize(VirtualTime(finish), min);
+            if let Some(m) = min {
+                prop_assert_eq!(out.tick / 4096, m / 4096, "tick left the live lap");
+            }
+            live.push((out.tick, out.tag.value()));
+            live.sort_unstable();
+            prop_assert!(
+                live.windows(2).all(|w| w[0].1 <= w[1].1),
+                "tag order differs from tick order: {:?}",
+                live
+            );
+            match leave {
+                0 => drop(live.remove(0)),
+                1 => drop(live.pop()),
+                _ => {}
+            }
+        }
+    }
+
     /// Recycled sections always appear in circular order with no skips,
     /// whatever the trajectory (Wrap policy, bounded window).
     #[test]

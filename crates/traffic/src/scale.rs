@@ -69,30 +69,48 @@ impl ScaleConfig {
         self.rate_bps / (8.0 * self.mean_bytes())
     }
 
-    fn validate(&self) {
-        assert!(self.flows > 0, "flow population must be positive");
-        assert!(
-            self.rate_bps.is_finite() && self.rate_bps > 0.0,
-            "aggregate rate must be positive"
-        );
-        assert!(
-            self.min_bytes > 0 && self.min_bytes <= self.max_bytes,
-            "packet size bounds must satisfy 0 < min <= max"
-        );
-        if let Some(churn) = &self.churn {
-            assert!(
-                churn.crowd_flows > 0 && churn.crowd_flows <= self.flows,
-                "crowd must be a non-empty subset of the population"
-            );
-            assert!(
-                (0.0..=1.0).contains(&churn.boost),
-                "churn boost must be a fraction"
-            );
-            assert!(
-                churn.start_s >= 0.0 && churn.duration_s > 0.0,
-                "churn window must be non-degenerate"
-            );
+    /// Checks that the config describes a workload: a non-empty
+    /// population, a finite non-negative Zipf exponent, a positive
+    /// finite rate, size bounds `0 < min <= max`, and a well-formed
+    /// churn window.
+    ///
+    /// # Errors
+    ///
+    /// A message naming the first offending field.
+    pub fn check(&self) -> Result<(), String> {
+        if self.flows == 0 {
+            return Err("flow population must be positive".into());
         }
+        if !(self.zipf_exponent.is_finite() && self.zipf_exponent >= 0.0) {
+            return Err(format!(
+                "Zipf exponent must be finite and >= 0, got {}",
+                self.zipf_exponent
+            ));
+        }
+        if !(self.rate_bps.is_finite() && self.rate_bps > 0.0) {
+            return Err(format!(
+                "aggregate rate must be positive and finite, got {}",
+                self.rate_bps
+            ));
+        }
+        if !(self.min_bytes > 0 && self.min_bytes <= self.max_bytes) {
+            return Err(format!(
+                "packet size bounds must satisfy 0 < min <= max, got {}..={}",
+                self.min_bytes, self.max_bytes
+            ));
+        }
+        if let Some(churn) = &self.churn {
+            if !(churn.crowd_flows > 0 && churn.crowd_flows <= self.flows) {
+                return Err("crowd must be a non-empty subset of the population".into());
+            }
+            if !(0.0..=1.0).contains(&churn.boost) {
+                return Err("churn boost must be a fraction".into());
+            }
+            if !(churn.start_s >= 0.0 && churn.duration_s > 0.0) {
+                return Err("churn window must be non-degenerate".into());
+            }
+        }
+        Ok(())
     }
 }
 
@@ -134,10 +152,12 @@ impl ScaleWorkload {
     ///
     /// # Panics
     ///
-    /// Panics if the config is inconsistent (empty population,
-    /// non-positive rate, bad size bounds, or a malformed churn window).
+    /// Panics if [`ScaleConfig::check`] rejects the config. Callers
+    /// holding external input check it first.
     pub fn new(cfg: ScaleConfig) -> Self {
-        cfg.validate();
+        if let Err(e) = cfg.check() {
+            panic!("invalid scale workload: {e}");
+        }
         Self {
             rng: Rng::seed_from_u64(cfg.seed),
             zipf: Zipf::new(u64::from(cfg.flows), cfg.zipf_exponent),

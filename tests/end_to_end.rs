@@ -5,6 +5,7 @@
 use proptest::prelude::*;
 
 use wfq_sorter::baselines::{exact_methods, reference_order};
+use wfq_sorter::faultsim::{FaultConfig, FaultPolicy, FaultSpec};
 use wfq_sorter::scheduler::{HwScheduler, SchedulerConfig};
 use wfq_sorter::tagsort::{Geometry, PacketRef, SortRetrieveCircuit, Tag};
 use wfq_sorter::traffic::{generate, profiles, FlowId, FlowSpec, Packet, Time};
@@ -14,6 +15,19 @@ use wfq_sorter::traffic::{generate, profiles, FlowId, FlowSpec, Packet, Time};
 /// across the ready-made traffic profiles.
 #[test]
 fn hardware_scheduler_sorts_all_profiles() {
+    // A plan that injects nothing keeps the scheduler's exact set of live
+    // ticks, so `inversions` checks each departure against it; without a
+    // plan the scheduler trusts the sorter and counts none.
+    let empty_plan = FaultConfig::new(
+        FaultSpec {
+            count: 0,
+            seed: 1,
+            component: None,
+            bits: 1,
+        },
+        FaultPolicy::DetectAndCount,
+        1,
+    );
     for (name, flows) in [
         ("voip", profiles::voip(6)),
         ("video", profiles::video(3, 1_500_000.0)),
@@ -28,6 +42,7 @@ fn hardware_scheduler_sorts_all_profiles() {
                 geometry: Geometry::new(4, 5),
                 tick_scale: 20.0,
                 capacity: 1 << 14,
+                faults: Some(empty_plan),
                 ..SchedulerConfig::default()
             },
         );
